@@ -63,10 +63,11 @@ bench-session: build
 bench-obs: build
 	dune exec bench/main.exe -- --obs-json-only
 
-# compiled flat schedules vs the propagation interpreter on the fig-7
-# sweep and the amplifier-chain scaling series, cold and warm schedule
-# cache (writes BENCH_compile.json; the CI claim is fig-7 median warm
-# speedup >= 5).  Add --compile-smoke for the reduced CI variant
+# whole diagnoses on compiled flat schedules vs the reference
+# interpreter (Flames_check.Reference) on the fig-7 sweep and the
+# amplifier-chain scaling series, cold and warm schedule cache (writes
+# BENCH_compile.json; the CI claim is fig-7 median warm speedup >= 5).
+# Add --compile-smoke for the reduced CI variant
 bench-compile: build
 	dune exec bench/main.exe -- --compile-json-only
 

@@ -1,7 +1,7 @@
 (* Compiled-schedule before/after series (DESIGN.md section 13): the
-   same diagnosis jobs through the propagation interpreter
-   ([Diagnose.run ~use_compiled:false], the seed path) and through the
-   compiled flat schedule, cold (schedule compiled inside the timed
+   same diagnosis jobs through the reference interpreter
+   ([Flames_check.Reference.diagnose], which caches nothing) and through
+   [Diagnose.run] on the compiled flat schedule, cold (schedule compiled inside the timed
    region — the {!Flames_engine.Cache} miss path) and warm (one
    resident schedule reused across runs — the hit path every consumer
    after the first ride, including the schedule's published
@@ -11,13 +11,16 @@
    sweep over the three-stage amplifier, and the A2 amplifier-chain
    scaling series.  Every cell asserts bit-identical results — the
    compiled path is an optimisation, never a semantic fork — before it
-   is timed; wall-clock medians of [reps], absolute numbers host-bound,
+   is timed.  Whole diagnoses are timed, not propagation passes alone:
+   the schedule's sensitivity memo and shared prediction engine are
+   part of what compiling buys; wall-clock medians of [reps], absolute numbers host-bound,
    the speedup columns are the point.  Written to BENCH_compile.json. *)
 
 module Model = Flames_core.Model
 module Schedule = Flames_core.Schedule
 module Diagnose = Flames_core.Diagnose
 module Oracle = Flames_check.Oracle
+module Reference = Flames_check.Reference
 module Q = Flames_circuit.Quantity
 module F = Flames_circuit.Fault
 module L = Flames_circuit.Library
@@ -97,7 +100,9 @@ let run_case ~reps c =
      published back into the master table. *)
   let schedule = Schedule.of_model model in
   let warm () = run ~schedule c.netlist c.observations in
-  let interp () = run ~model ~use_compiled:false c.netlist c.observations in
+  let interp () =
+    Reference.diagnose ?config:c.config ~model c.netlist c.observations
+  in
   let cold () =
     run
       ~schedule:(Schedule.compile ?config:c.config c.netlist)

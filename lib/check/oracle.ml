@@ -553,7 +553,7 @@ let check_mna netlist =
 
 (* {1 Batch engine determinism} *)
 
-let result_fingerprint (r : Diagnose.result) =
+let result_fingerprint (r : _ Diagnose.outcome) =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   let fi (v : Interval.t) =
@@ -726,7 +726,7 @@ let check_degraded (scenario : Gen.scenario) =
         | None -> Ok ()
     end
 
-(* {1 Compiled schedule vs interpreter} *)
+(* {1 Compiled schedule vs reference interpreter} *)
 
 let check_compiled (scenario : Gen.scenario) =
   let nominal, _ = Gen.scenario_netlists scenario in
@@ -749,9 +749,20 @@ let check_compiled (scenario : Gen.scenario) =
           (Printf.sprintf "%s: compiled run diverges from interpreter: %s"
              phase (first_diff fi fc))
   in
+  (* both engines under their own budget armed from one spec *)
+  let budgeted phase spec =
+    let budget () = Flames_core.Budget.start spec in
+    let compiled =
+      Diagnose.run ~model ~budget:(budget ()) nominal observations
+    in
+    let interp =
+      Reference.diagnose ~model ~budget:(budget ()) nominal observations
+    in
+    Result.map (fun () -> compiled) (compare_runs phase ~compiled ~interp)
+  in
   let ( let* ) = Result.bind in
-  let full_c = Diagnose.run ~model ~use_compiled:true nominal observations in
-  let full_i = Diagnose.run ~model ~use_compiled:false nominal observations in
+  let full_c = Diagnose.run ~model nominal observations in
+  let full_i = Reference.diagnose ~model nominal observations in
   let* () = compare_runs "full" ~compiled:full_c ~interp:full_i in
   (* reusing one schedule across runs must not leak state between them *)
   let again = Diagnose.run ~schedule nominal observations in
@@ -759,22 +770,24 @@ let check_compiled (scenario : Gen.scenario) =
   (* budget-tripped (degraded) runs must degrade identically: same
      trips, same truncated candidate list, bit for bit *)
   let n = List.length full_c.Diagnose.diagnoses in
-  if n = 0 then Ok ()
-  else begin
-    let quota = Int.max 1 (n / 2) in
-    let budgeted use_compiled =
-      let budget =
-        Flames_core.Budget.start
-          (Flames_core.Budget.spec ~max_candidates:quota ())
+  let* () =
+    if n = 0 then Ok ()
+    else
+      let* part =
+        budgeted "budgeted"
+          (Flames_core.Budget.spec ~max_candidates:(Int.max 1 (n / 2)) ())
       in
-      Diagnose.run ~model ~budget ~use_compiled nominal observations
-    in
-    let part_c = budgeted true and part_i = budgeted false in
-    let* () = compare_runs "budgeted" ~compiled:part_c ~interp:part_i in
-    if not part_c.Diagnose.degraded then
-      Error "budgeted compiled run not flagged degraded"
-    else Ok ()
-  end
+      if not part.Diagnose.degraded then
+        Error "budgeted compiled run not flagged degraded"
+      else Ok ()
+  in
+  (* a step quota trips inside propagation, cutting passes short *)
+  let steps = Flames_core.Propagate.steps_used full_c.Diagnose.engine in
+  let* _ =
+    budgeted "step-budgeted"
+      (Flames_core.Budget.spec ~max_steps:(Int.max 1 (steps / 2)) ())
+  in
+  Ok ()
 
 (* {1 Incremental sessions vs from-scratch diagnosis} *)
 

@@ -80,7 +80,7 @@ val check_mna : Netlist.t -> (unit, string) result
 
 (** {1 Batch engine vs sequential diagnosis} *)
 
-val result_fingerprint : Flames_core.Diagnose.result -> string
+val result_fingerprint : _ Flames_core.Diagnose.outcome -> string
 (** Canonical rendering of every reported field of a diagnosis with
     hex-exact floats: two results compare equal iff their diagnostic
     content is bit-identical.  Conflict [reason] strings are excluded:
@@ -106,19 +106,20 @@ val check_degraded : Gen.scenario -> (unit, string) result
     run's — sound truncation, never invention.  Scenarios whose full
     diagnosis is healthy (no candidates) pass trivially. *)
 
-(** {1 Compiled schedule vs interpreter} *)
+(** {1 Compiled schedule vs reference interpreter} *)
 
 val check_compiled : Gen.scenario -> (unit, string) result
 (** The compiled-schedule transparency contract of
-    {!Flames_core.Diagnose.run}: diagnosing the scenario with the
-    compiled flat schedule ([~use_compiled:true], the default) must be
-    {!result_fingerprint}-identical — every symptom verdict, conflict
-    degree, fit estimate and ranking, hex-exact — to the interpreter
-    run ([~use_compiled:false]).  Checked three ways: the plain run, a
-    second run reusing one pre-compiled {!Flames_core.Schedule} (no
-    state may leak between runs), and a budget-tripped run under a
-    half-quota candidate budget whose degraded flag, recorded trips and
-    truncated ranking must also match the interpreter's bit for bit. *)
+    {!Flames_core.Diagnose.run}: diagnosing the scenario on the compiled
+    flat schedule must be {!result_fingerprint}-identical — every
+    symptom verdict, conflict degree, fit estimate and ranking,
+    hex-exact — to {!Reference.diagnose}.  Checked four ways: the plain
+    run; a second run reusing one pre-compiled {!Flames_core.Schedule}
+    (no state may leak between runs); a run under a half-quota candidate
+    budget, which trips in ranking; and a run under a step quota of half
+    the unbudgeted run's steps, which trips inside propagation.  In the
+    budgeted runs the degraded flag and the recorded trips must match
+    the reference's too. *)
 
 (** {1 Incremental sessions vs from-scratch diagnosis} *)
 

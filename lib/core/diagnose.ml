@@ -64,17 +64,19 @@ type suspect = {
 
 let fit_threshold = 0.05
 
-type result = {
+type 'e outcome = {
   netlist : Netlist.t;
   symptoms : symptom list;
   conflicts : Candidates.conflict list;
   suspects : suspect list;
   diagnoses : (string list * float) list;
   single_faults : (string * float) list;
-  engine : Propagate.t;
+  engine : 'e;
   degraded : bool;
   trips : Budget.trip list;
 }
+
+type result = Propagate.t outcome
 
 (* The verdict uses the same consistency measure as the engine: the
    area-based Dc complemented by the possibility of matching, so a
@@ -91,12 +93,8 @@ let adjusted_verdict ~measured ~nominal =
   in
   { Consistency.dc; direction }
 
-let symptom_of prediction_engine (q, measured) =
-  let predicted =
-    Option.map
-      (fun v -> v.Value.interval)
-      (Propagate.best_value prediction_engine ~observational:false q)
-  in
+let symptom_of predicted (q, measured) =
+  let predicted = Option.map (fun v -> v.Value.interval) (predicted q) in
   let verdict =
     Option.map (fun nominal -> adjusted_verdict ~measured ~nominal) predicted
   in
@@ -144,9 +142,9 @@ let observation_residual ?sweep netlist observations =
     in
     Some err
 
-(* Simulation audit: within one [run] the nominal circuit is solved once
-   by [simulator_predictions] (inside [Sensitivity.analyze]) and never
-   per symptom — [observation_residual] folds every observation over a
+(* Simulation audit: the nominal circuit is solved once per schedule by
+   [Schedule.predictions] (inside [Sensitivity.analyze]) and never per
+   symptom — [observation_residual] folds every observation over a
    single solve.  The remaining redundancy is inside the fit sweep: the
    coarse grid and both refinement passes revisit candidate values (the
    1.0 factors re-solve the previous pass's best value, and refinement
@@ -203,7 +201,7 @@ let fit_parameter ?sweep netlist observations comp parameter =
       in
       (match pass2 with Some (v, r) -> Some (v, r) | None -> pass1)
 
-let mode_estimates ?sweep netlist observations engine comp =
+let mode_estimates ?sweep netlist observations measured comp =
   let name = comp.Component.name in
   let simulatable = netlist.Netlist.ports = [] in
   List.filter_map
@@ -230,7 +228,7 @@ let mode_estimates ?sweep netlist observations engine comp =
         (* fallback: the engine's measurement-side estimate, when local
            propagation produced one (externally driven circuits) *)
         let q = Quantity.parameter name parameter in
-        match Propagate.best_value engine ~observational:true q with
+        match measured q with
         | None ->
           Some
             { parameter; nominal; estimated = None; fit_residual = None;
@@ -248,19 +246,6 @@ let mode_estimates ?sweep netlist observations engine comp =
       end)
     (Component.parameter_names comp.Component.kind)
 
-(* Global nominal predictions from the DC simulator, the stand-in for the
-   physical test bench's model predictions.  Each node prediction holds
-   under the assumptions of the components that actually influence the
-   node (finite-difference sensitivity), so a conflict on a probed node
-   suspects exactly its signal path — the paper's "measuring Vs to be
-   faulty suspects all the modules", while a conflict on an intermediate
-   probe suspects only the upstream stage.  The prediction's fuzzy width
-   is the voltage uncertainty the component tolerances induce. *)
-let simulator_predictions netlist model ~floor ~threshold =
-  Schedule.predictions_of_reports model
-    (Schedule.raw_reports netlist)
-    ~floor ~threshold
-
 (* The quantities whose observational evidence decides constraint guards
    (e.g. a transistor's Vce): when any of them acquires evidence in the
    first pass, a deterministic second pass is required (see {!analyze}). *)
@@ -274,9 +259,9 @@ let guard_quantities model =
    simulator predictions, then the observations, run to quiescence.
    Shared by {!run} and the incremental {!Flames_session.Session}, whose
    retraction path rebuilds exactly this engine. *)
-let full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
+let full_pass ?limits ~schedule ~budget ~degree ~model:_ ~predictions
     ~observations ~guard_evidence () =
-  let engine = Propagate.create ?limits ~budget ?schedule model in
+  let engine = Propagate.create ?limits ~budget schedule in
   Propagate.set_guard_evidence engine guard_evidence;
   List.iter
     (fun (q, v, env) -> Propagate.predict engine ~degree q v env)
@@ -285,31 +270,11 @@ let full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
   Propagate.run engine;
   engine
 
-let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
-    ~first netlist observations =
-  let budget = match budget with Some b -> b | None -> Budget.fresh () in
-  (* Guards are evaluated when a constraint fires, but the observational
-     evidence for a guard quantity (e.g. a transistor's Vce reconstructed
-     from two probes) may only appear later in the same run — values
-     derived before the evidence arrived would survive with a stale guard
-     degree.  A second pass with the first pass's guard evidence injected
-     up-front makes guard evaluation deterministic. *)
-  let guard_evidence =
-    List.filter_map
-      (fun q ->
-        match Propagate.best_value first ~observational:true q with
-        | Some v -> Some (q, v.Value.interval)
-        | None -> None)
-      (guard_quantities model)
-  in
-  let engine =
-    if guard_evidence = [] then first
-    else
-      full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
-        ~observations ~guard_evidence ()
-  in
-  let symptoms = List.map (symptom_of prediction) observations in
-  let conflicts = Propagate.conflicts engine in
+(* Reads no engine itself, so any engine with these readings concludes
+   the same way. *)
+let conclude ~budget ~model ~predicted ~measured ~conflicts ~truncated
+    ~nogoods ~steps ~engine netlist observations =
+  let symptoms = List.map (symptom_of predicted) observations in
   let name_of id = Model.assumption_name model id in
   let suspects =
     Trace.with_span ~record:fit_seconds "diagnose.fit" @@ fun () ->
@@ -328,7 +293,9 @@ let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
                   per candidate value): once the budget has tripped, skip
                   further sweeps and degrade to bare suspicions *)
                if Budget.tripped budget || not (Budget.ok budget) then []
-               else mode_estimates ~sweep:fsweep netlist observations engine comp
+               else
+                 mode_estimates ~sweep:fsweep netlist observations measured
+                   comp
              in
              let explains =
                List.exists
@@ -365,11 +332,7 @@ let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
     in
     (diagnoses, single_faults)
   in
-  let degraded =
-    Budget.tripped budget
-    || Propagate.truncated prediction
-    || Propagate.truncated engine
-  in
+  let degraded = Budget.tripped budget || truncated in
   Metrics.incr runs_total;
   if degraded then Metrics.incr degraded_total;
   let trips = Budget.trips budget in
@@ -378,15 +341,45 @@ let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
      the recorded spans above *)
   Context.annotate "degraded" (Context.Bool degraded);
   Context.annotate "conflicts" (Context.Int (List.length conflicts));
-  Context.annotate "nogoods"
-    (Context.Int (Flames_atms.Nogood.count (Propagate.nogood_db engine)));
-  Context.annotate "propagate_steps" (Context.Int (Propagate.steps_used engine));
+  Context.annotate "nogoods" (Context.Int nogoods);
+  Context.annotate "propagate_steps" (Context.Int steps);
   Context.annotate "budget_elapsed_s" (Context.Num (Budget.elapsed budget));
   if trips <> [] then
     Context.annotate "budget_trips"
       (Context.Str (String.concat "," (List.map Budget.trip_label trips)));
   { netlist; symptoms; conflicts; suspects; diagnoses; single_faults; engine;
     degraded; trips }
+
+let analyze ?limits ~schedule ?budget ~degree ~model ~predictions ~prediction
+    ~first netlist observations =
+  let budget = match budget with Some b -> b | None -> Budget.fresh () in
+  (* Guards are evaluated when a constraint fires, but the observational
+     evidence for a guard quantity (e.g. a transistor's Vce reconstructed
+     from two probes) may only appear later in the same run — values
+     derived before the evidence arrived would survive with a stale guard
+     degree.  A second pass with the first pass's guard evidence injected
+     up-front makes guard evaluation deterministic. *)
+  let guard_evidence =
+    List.filter_map
+      (fun q ->
+        match Propagate.best_value first ~observational:true q with
+        | Some v -> Some (q, v.Value.interval)
+        | None -> None)
+      (guard_quantities model)
+  in
+  let engine =
+    if guard_evidence = [] then first
+    else
+      full_pass ?limits ~schedule ~budget ~degree ~model ~predictions
+        ~observations ~guard_evidence ()
+  in
+  conclude ~budget ~model
+    ~predicted:(Propagate.best_value prediction ~observational:false)
+    ~measured:(Propagate.best_value engine ~observational:true)
+    ~conflicts:(Propagate.conflicts engine)
+    ~truncated:(Propagate.truncated prediction || Propagate.truncated engine)
+    ~nogoods:(Flames_atms.Nogood.count (Propagate.nogood_db engine))
+    ~steps:(Propagate.steps_used engine) ~engine netlist observations
 
 (* Nominal-prediction engines cached per schedule.  The prediction pass
    is a pure function of (schedule, limits, degree, floor, threshold,
@@ -417,18 +410,18 @@ type pkey = {
 let pcache : (pkey * Propagate.t) list PTbl.t = PTbl.create 8
 let pcache_lock = Mutex.create ()
 
-let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
-    ~threshold ~simulate predictions =
+let prediction_engine ?limits ~budget ~schedule ~degree ~floor ~threshold
+    ~simulate predictions =
   let fresh () =
-    let prediction = Propagate.create ?limits ~budget ?schedule model in
+    let prediction = Propagate.create ?limits ~budget schedule in
     List.iter
       (fun (q, v, env) -> Propagate.predict prediction ~degree q v env)
       predictions;
     Propagate.run prediction;
     prediction
   in
-  match schedule with
-  | Some s when Budget.is_unlimited budget ->
+  if not (Budget.is_unlimited budget) then fresh ()
+  else
     let key =
       {
         plimits = Option.value limits ~default:Propagate.default_limits;
@@ -440,7 +433,7 @@ let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
     in
     Mutex.lock pcache_lock;
     let hit =
-      match PTbl.find_opt pcache s with
+      match PTbl.find_opt pcache schedule with
       | Some entries -> List.assoc_opt key entries
       | None -> None
     in
@@ -450,79 +443,70 @@ let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
     | None ->
       let engine = fresh () in
       Mutex.lock pcache_lock;
-      let entries = Option.value (PTbl.find_opt pcache s) ~default:[] in
+      let entries = Option.value (PTbl.find_opt pcache schedule) ~default:[] in
       if not (List.mem_assoc key entries) then
         (* a handful of (limits, degree, floor, threshold) tunings per
            schedule in practice; keep the newest four *)
-        PTbl.replace pcache s
+        PTbl.replace pcache schedule
           ((key, engine) :: List.filteri (fun i _ -> i < 3) entries);
       Mutex.unlock pcache_lock;
       engine)
-  | _ -> fresh ()
 
-let run ?config ?limits ?model ?schedule ?(use_compiled = true) ?budget
-    ?(prediction_floor = 1e-3) ?(sensitivity_threshold = 0.02)
-    ?(prediction_degree = 0.95) ?(simulate_predictions = true) netlist
-    observations =
+let run ?config ?limits ?model ?schedule ?budget ?(prediction_floor = 1e-3)
+    ?(sensitivity_threshold = 0.02) ?(prediction_degree = 0.95)
+    ?(simulate_predictions = true) netlist observations =
   Trace.with_span
     ~args:[ ("circuit", netlist.Netlist.name) ]
     "diagnose.run"
   @@ fun () ->
   let budget = match budget with Some b -> b | None -> Budget.fresh () in
-  (* Model acquisition.  The compiled schedule is the default execution
-     vehicle; [~use_compiled:false] forces the interpreter (the
-     differential-oracle baseline and the CLI's [--no-compiled]). *)
-  let model, schedule =
+  (* Model acquisition: a supplied schedule wins, then a supplied model
+     is lowered, else the netlist is compiled afresh. *)
+  let schedule =
     match schedule with
-    | Some s when use_compiled -> (Schedule.model s, Some s)
-    | _ ->
-      let m =
-        match model with
+    | Some s -> s
+    | None ->
+      Schedule.of_model
+        (match model with
         | Some m -> m
         | None ->
           Trace.with_span ~record:model_seconds "diagnose.model" (fun () ->
-              Model.compile ?config netlist)
-      in
-      if use_compiled then (m, Some (Schedule.of_model m)) else (m, None)
+              Model.compile ?config netlist))
   in
+  let model = Schedule.model schedule in
   let predictions =
     if simulate_predictions then
+      (* memoized on the schedule: the sensitivity sweep runs once per
+         compiled model, not once per request *)
       Trace.with_span ~record:simulate_seconds "diagnose.simulate" (fun () ->
-          match schedule with
-          | Some s ->
-            (* memoized on the schedule: the sensitivity sweep runs once
-               per compiled model, not once per request *)
-            Schedule.predictions s ~floor:prediction_floor
-              ~threshold:sensitivity_threshold
-          | None ->
-            simulator_predictions netlist model ~floor:prediction_floor
-              ~threshold:sensitivity_threshold)
+          Schedule.predictions schedule ~floor:prediction_floor
+            ~threshold:sensitivity_threshold)
     else []
   in
   let degree = prediction_degree in
   (* prediction pass: nominals only — shared across requests when the
      budget is unlimited (see [prediction_engine]) *)
   let prediction =
-    prediction_engine ?limits ~budget ~schedule ~model ~degree
+    prediction_engine ?limits ~budget ~schedule ~degree
       ~floor:prediction_floor ~threshold:sensitivity_threshold
       ~simulate:simulate_predictions predictions
   in
   (* full pass with observations, then the shared post-propagation
      pipeline (guard second pass, symptoms, conflicts, fits, ranking) *)
   let first =
-    full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
+    full_pass ?limits ~schedule ~budget ~degree ~model ~predictions
       ~observations ~guard_evidence:[] ()
   in
-  analyze ?limits ?schedule ~budget ~degree ~model ~predictions ~prediction
+  analyze ?limits ~schedule ~budget ~degree ~model ~predictions ~prediction
     ~first netlist observations
 
-let run_r ?config ?limits ?model ?schedule ?use_compiled ?budget
-    ?prediction_floor ?sensitivity_threshold ?prediction_degree
-    ?simulate_predictions netlist observations =
+let run_r ?config ?limits ?model ?schedule ?budget ?prediction_floor
+    ?sensitivity_threshold ?prediction_degree ?simulate_predictions netlist
+    observations =
   Err.guard (fun () ->
-      run ?config ?limits ?model ?schedule ?use_compiled ?budget
-        ?prediction_floor ?sensitivity_threshold ?prediction_degree
-        ?simulate_predictions netlist observations)
+      run ?config ?limits ?model ?schedule ?budget ?prediction_floor
+        ?sensitivity_threshold ?prediction_degree ?simulate_predictions netlist
+        observations)
 
 let healthy result = result.conflicts = []
 

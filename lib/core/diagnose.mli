@@ -54,7 +54,7 @@ val fit_threshold : float
 (** Residual below which a fit counts as explaining the symptoms
     (0.05 summed squared normalised error). *)
 
-type result = {
+type 'e outcome = {
   netlist : Netlist.t;
   symptoms : symptom list;
   conflicts : Candidates.conflict list;
@@ -63,7 +63,7 @@ type result = {
       (** minimal diagnoses as component-name sets with their rank *)
   single_faults : (string * float) list;
       (** components alone explaining every conflict *)
-  engine : Propagate.t;  (** the underlying engine, for inspection *)
+  engine : 'e;  (** the underlying engine, for inspection *)
   degraded : bool;
       (** a budget check-point stopped some stage early: everything in
           the result is sound, but propagation may have missed conflicts,
@@ -71,13 +71,16 @@ type result = {
           a prefix of the full one *)
   trips : Budget.trip list;  (** which quotas tripped, if any *)
 }
+(** A diagnosis over some propagation engine; [Flames_check.Reference]
+    returns one over its own engine. *)
+
+type result = Propagate.t outcome
 
 val run :
   ?config:Model.config ->
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget:Budget.t ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -88,14 +91,11 @@ val run :
   result
 (** [run netlist observations] performs a full diagnosis.
 
-    By default the model is lowered to a compiled {!Schedule} and the
-    propagation engines run the compiled fast path; results are
-    byte-identical to the interpreter.  [?schedule] supplies a
-    pre-compiled schedule (e.g. from [Flames_engine.Cache]), skipping
-    both compilation and — thanks to the schedule's memo — the
-    per-request sensitivity sweep.  [~use_compiled:false] forces the
-    interpreter and ignores [?schedule] (the [--no-compiled]
-    differential baseline).
+    The model is lowered to a compiled {!Schedule}, which the
+    propagation engines run.  [?schedule] supplies a pre-compiled
+    schedule (e.g. from [Flames_engine.Cache]), skipping both
+    compilation and — thanks to the schedule's memo — the per-request
+    sensitivity sweep; [?model] is then ignored.
 
     [?budget] (default unlimited) is polled at cheap check-points in
     propagation, fit sweeps and candidate enumeration.  A tripped budget
@@ -135,7 +135,6 @@ val run_r :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget:Budget.t ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -158,18 +157,9 @@ val suspects_above : result -> float -> string list
 
     {!run} in separable pieces, for callers that keep propagation state
     alive between measurements ({!Flames_session.Session}).  Composing
-    [simulator_predictions] → [full_pass] → [analyze] with the same
-    inputs is bit-for-bit {!run}. *)
-
-val simulator_predictions :
-  Netlist.t ->
-  Model.t ->
-  floor:float ->
-  threshold:float ->
-  (Quantity.t * Interval.t * Flames_atms.Env.t) list
-(** Global nominal node-voltage predictions from the DC simulator with
-    their supporting assumption environments (finite-difference
-    sensitivity); [[]] for externally driven or unsolvable circuits. *)
+    [Schedule.predictions] → [full_pass] → [analyze] with the same
+    inputs is bit-for-bit {!run}.  In every stage [model] must be
+    [Schedule.model schedule]. *)
 
 val guard_quantities : Model.t -> Quantity.t list
 (** The quantities appearing in constraint guards, sorted; evidence for
@@ -177,7 +167,7 @@ val guard_quantities : Model.t -> Quantity.t list
 
 val full_pass :
   ?limits:Propagate.limits ->
-  ?schedule:Schedule.t ->
+  schedule:Schedule.t ->
   budget:Budget.t ->
   degree:float ->
   model:Model.t ->
@@ -186,13 +176,13 @@ val full_pass :
   guard_evidence:(Quantity.t * Interval.t) list ->
   unit ->
   Propagate.t
-(** One full propagation pass: fresh engine over [model] with the guard
+(** One full propagation pass: fresh engine over [schedule] with the guard
     evidence pinned, [predictions] and then [observations] entered, run
     to quiescence. *)
 
 val analyze :
   ?limits:Propagate.limits ->
-  ?schedule:Schedule.t ->
+  schedule:Schedule.t ->
   ?budget:Budget.t ->
   degree:float ->
   model:Model.t ->
@@ -207,3 +197,22 @@ val analyze :
     when present), symptoms are judged against the [prediction] engine,
     conflicts collected, suspects fitted and candidates ranked under
     [budget] (default unlimited). *)
+
+val conclude :
+  budget:Budget.t ->
+  model:Model.t ->
+  predicted:(Quantity.t -> Value.t option) ->
+  measured:(Quantity.t -> Value.t option) ->
+  conflicts:Candidates.conflict list ->
+  truncated:bool ->
+  nogoods:int ->
+  steps:int ->
+  engine:'e ->
+  Netlist.t ->
+  observation list ->
+  'e outcome
+(** {!analyze} after the final engine is chosen, reading it only
+    through its given readings: model-side best values of the
+    prediction pass ([predicted]), observational best values, conflicts,
+    nogood and step counts of the final pass, and whether either pass
+    was [truncated].  [engine] is stored in the result. *)

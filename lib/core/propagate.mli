@@ -14,7 +14,7 @@ module Nogood = Flames_atms.Nogood
 module Quantity = Flames_circuit.Quantity
 
 type t
-(** A propagation state over a compiled model. *)
+(** A propagation state over a compiled schedule. *)
 
 type limits = {
   max_values_per_cell : int;  (** resident values kept per quantity *)
@@ -30,22 +30,15 @@ val default_limits : limits
 (** 12 values per cell, 256 combinations, 100_000 steps, 0.02 conflict
     floor. *)
 
-val create :
-  ?limits:limits -> ?budget:Budget.t -> ?schedule:Schedule.t -> Model.t -> t
-(** Fresh engine over the model; generative constraints (nominals,
-    bounds, ground) are seeded but nothing is propagated yet.  [budget]
-    (default unlimited) is charged one step per work-queue pop and one
-    env per surviving cell insertion; when it trips, {!run} stops at the
-    next check-point and {!truncated} latches.
-
-    With [schedule] (which must be compiled from the same model) the
-    engine runs the compiled fast path: preplanned firing order over
-    dense quantity ids, memoized consistency kernels, flat seed
-    buffers.  Results — values, conflicts, budgets charged — are
-    byte-identical to the interpreter; only the speed differs. *)
-
-val compiled : t -> bool
-(** Whether this engine runs the compiled fast path. *)
+val create : ?limits:limits -> ?budget:Budget.t -> Schedule.t -> t
+(** Fresh engine over the schedule's model; generative constraints
+    (nominals, bounds, ground) are seeded but nothing is propagated yet.
+    The engine runs the schedule's preplanned firing order over dense
+    quantity ids with memoized consistency kernels; the reference
+    interpreter it is diffed against lives in [Flames_check.Reference].
+    [budget] (default unlimited) is charged one step per work-queue pop
+    and one env per surviving cell insertion; when it trips, {!run}
+    stops at the next check-point and {!truncated} latches. *)
 
 val observe : t -> Quantity.t -> Interval.t -> unit
 (** Enter a measurement (environment-free, degree 1). *)
@@ -86,10 +79,6 @@ val truncated : t -> bool
 (** Some {!run} stopped at a budget check-point (or the hard step
     limit): results are sound but possibly incomplete. *)
 
-val budget : t -> Budget.t
-(** The engine's budget (a fresh unlimited one when none was given). *)
-
 val names : t -> int -> string
 (** Assumption pretty-naming. *)
 
-val pp_cell : t -> Format.formatter -> Quantity.t -> unit

@@ -6,8 +6,8 @@ module Trace = Flames_obs.Trace
 
 (* A model compiled to a flat propagation schedule.
 
-   [Model.compile] produces the constraint list the interpreter in
-   {!Propagate} walks on every run: association lists keyed by
+   [Model.compile] produces the constraint list the reference
+   interpreter ([Flames_check.Reference]) walks on every run: association lists keyed by
    [Quantity.t] (polymorphic hash), per-firing list filtering to find
    the sources, [Format] calls to render conflict reasons, and a fresh
    [1. /. ct] division per linear gather.  A schedule performs all of
@@ -335,9 +335,8 @@ let seed_interval t off =
 
 (* Simulator-side predictions.  The raw sensitivity sweep depends only
    on the netlist, so a schedule memoizes it; the floor/threshold
-   filtering stays per-call (callers tune both).  The shapes below
-   replicate [Diagnose.simulator_predictions] exactly — that function
-   now delegates here so both paths share one definition. *)
+   filtering stays per-call (callers tune both).  The reference
+   interpreter calls the two halves unmemoized. *)
 
 let raw_reports netlist =
   if netlist.Flames_circuit.Netlist.ports <> [] then
@@ -351,6 +350,14 @@ let raw_reports netlist =
       []
     | reports -> reports
 
+(* Global nominal predictions from the DC simulator, the stand-in for the
+   physical test bench's model predictions.  Each node prediction holds
+   under the assumptions of the components that actually influence the
+   node (finite-difference sensitivity), so a conflict on a probed node
+   suspects exactly its signal path — the paper's "measuring Vs to be
+   faulty suspects all the modules", while a conflict on an intermediate
+   probe suspects only the upstream stage.  The prediction's fuzzy width
+   is the voltage uncertainty the component tolerances induce. *)
 let predictions_of_reports model reports ~floor ~threshold =
   List.filter_map
     (fun (r : Flames_sim.Sensitivity.node_report) ->

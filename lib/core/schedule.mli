@@ -5,10 +5,9 @@
     over flat float buffers (trapezoid parameters as 4 contiguous
     floats, linear coefficients and their reciprocals precomputed), and
     the constraint firing order planned once instead of discovered per
-    propagation.  {!Propagate.create} accepts a schedule and then runs
-    the compiled fast path; the results are byte-identical to the
-    interpreter (enforced by the [compiled-vs-interp] differential
-    oracle).
+    propagation.  {!Propagate.create} runs a schedule; the results are
+    byte-identical to the reference interpreter [Flames_check.Reference]
+    (enforced by the [compiled-vs-interp] differential oracle).
 
     Schedules are immutable after construction and safe to share across
     engines, sessions and worker domains; they are what
@@ -111,8 +110,7 @@ val seed_interval : t -> int -> Interval.t
 val raw_reports :
   Flames_circuit.Netlist.t -> Flames_sim.Sensitivity.node_report list
 (** The sensitivity sweep behind simulator predictions; [[]] for
-    externally driven circuits and on simulator failure (same cases
-    [Diagnose.simulator_predictions] treats as "no predictions"). *)
+    externally driven circuits and on simulator failure. *)
 
 val predictions_of_reports :
   Model.t ->
@@ -120,8 +118,8 @@ val predictions_of_reports :
   floor:float ->
   threshold:float ->
   (Quantity.t * Interval.t * Env.t) list
-(** Filter a raw report into prediction triples — shared shape of
-    [Diagnose.simulator_predictions]. *)
+(** Filter a raw report into prediction triples: nominal node voltages
+    with their supporting assumption environments. *)
 
 val predictions :
   t -> floor:float -> threshold:float -> (Quantity.t * Interval.t * Env.t) list

@@ -62,6 +62,21 @@ let pp_origin ppf = function
   | Bound -> Format.pp_print_string ppf "bound"
   | Derived c -> Format.fprintf ppf "via %s" c
 
+let tightest ?observational vs =
+  let vs =
+    match observational with
+    | None -> vs
+    | Some side -> List.filter (fun v -> v.observational = side) vs
+  in
+  let narrower best v =
+    match best with
+    | None -> Some v
+    | Some b ->
+      if Interval.width v.interval < Interval.width b.interval then Some v
+      else best
+  in
+  List.fold_left narrower None vs
+
 let pp ~names ppf v =
   Format.fprintf ppf "%a %a@@%.2g (%a)" Interval.pp v.interval
     (Env.pp ~names) v.env v.degree pp_origin v.origin

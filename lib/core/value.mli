@@ -64,4 +64,9 @@ val subsumes : t -> t -> bool
     under a subset environment and a subset history, with at least the
     degree, on the same side (observational or model). *)
 
+val tightest : ?observational:bool -> t list -> t option
+(** The narrowest value of the list, the earliest among equally narrow
+    ones; with [~observational] restricted to that side ([true] =
+    measurement-derived, [false] = model predictions). *)
+
 val pp : names:(int -> string) -> Format.formatter -> t -> unit

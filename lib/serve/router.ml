@@ -336,7 +336,6 @@ let diagnose deps (r : Http.request) =
       Fun.protect
         ~finally:(fun () -> Admission.release deps.admission)
         (fun () ->
-          Metrics.time Telemetry.request_seconds @@ fun () ->
           let t0 = Unix.gettimeofday () in
           let wall =
             Float.min deps.max_wall

@@ -87,10 +87,3 @@ let route_seconds =
   Flames_obs.Digest.family ~slo:route_slo_seconds
     ~help:"Request latency per route (server-side quantile digest)"
     "flames_serve_route_seconds"
-
-(* Sub-millisecond to 10 s: a divider diagnosis is ~1 ms, a saturated
-   queue pushes the tail into seconds. *)
-let request_seconds =
-  Metrics.histogram "flames_serve_request_seconds"
-    ~buckets:[ 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 3e-2; 0.1; 0.3; 1.; 3.; 10. ]
-    ~help:"Wall-clock latency of POST /diagnose, admission to response"

@@ -49,7 +49,6 @@ val create :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget_spec:Budget.spec ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -62,10 +61,6 @@ val create :
     [?schedule] supplies the compilation of exactly this
     netlist/config), derives the simulator predictions once, and runs
     the prediction pass once; all three are reused by every later step.
-
-    Sessions run the compiled schedule by default, exactly like
-    [Diagnose.run]; [~use_compiled:false] forces the interpreter and
-    ignores [?schedule].  Results are bit-identical either way.
 
     [?budget_spec] (default unlimited) is armed afresh for each
     {!diagnoses} call and meters only the analysis stages (guard second
@@ -84,7 +79,6 @@ val restore :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget_spec:Budget.spec ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -156,10 +150,6 @@ val netlist : t -> Netlist.t
 val model : t -> Model.t
 (** The compiled model, for passing to a from-scratch run
     ([Diagnose.run ~model]) when checking equivalence. *)
-
-val schedule : t -> Schedule.t option
-(** The compiled schedule the session executes, [None] for an
-    interpreter session ([~use_compiled:false]). *)
 
 val steps : t -> int
 (** Mutations performed so far (adds + retracts + refines). *)

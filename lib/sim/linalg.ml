@@ -1,75 +1,8 @@
 exception Singular
 
-let solve_opt a b =
-  let n = Array.length b in
-  if Array.length a <> n || (n > 0 && Array.length a.(0) <> n) then
-    invalid_arg "Linalg.solve: dimension mismatch";
-  (* The pivot threshold is relative to the matrix magnitude: MNA
-     matrices mix conductances that span many decades (1/R for R from
-     milliohms to gigaohms), so an absolute 1e-12 would call a perfectly
-     regular all-gigaohm system singular and accept a garbage pivot in
-     an all-milliohm one.  [max 1.0 norm] keeps the old absolute
-     behaviour for matrices of order unity (and for the zero matrix). *)
-  let inf_norm =
-    Array.fold_left
-      (fun acc row ->
-        Float.max acc
-          (Array.fold_left (fun s x -> s +. Float.abs x) 0. row))
-      0. a
-  in
-  let tiny = 1e-12 *. Float.max 1.0 inf_norm in
-  let exception Stop in
-  let m = Array.map Array.copy a in
-  let v = Array.copy b in
-  try
-    for col = 0 to n - 1 do
-      (* partial pivoting *)
-      let pivot = ref col in
-      for row = col + 1 to n - 1 do
-        if Float.abs m.(row).(col) > Float.abs m.(!pivot).(col) then
-          pivot := row
-      done;
-      if Float.abs m.(!pivot).(col) < tiny then raise Stop;
-      if !pivot <> col then begin
-        let tmp = m.(col) in
-        m.(col) <- m.(!pivot);
-        m.(!pivot) <- tmp;
-        let tb = v.(col) in
-        v.(col) <- v.(!pivot);
-        v.(!pivot) <- tb
-      end;
-      for row = col + 1 to n - 1 do
-        let f = m.(row).(col) /. m.(col).(col) in
-        if f <> 0. then begin
-          for k = col to n - 1 do
-            m.(row).(k) <- m.(row).(k) -. (f *. m.(col).(k))
-          done;
-          v.(row) <- v.(row) -. (f *. v.(col))
-        end
-      done
-    done;
-    let x = Array.make n 0. in
-    for row = n - 1 downto 0 do
-      let s = ref v.(row) in
-      for k = row + 1 to n - 1 do
-        s := !s -. (m.(row).(k) *. x.(k))
-      done;
-      x.(row) <- !s /. m.(row).(row)
-    done;
-    Ok x
-  with Stop -> Error `Singular
-
 let solve a b =
-  match solve_opt a b with Ok x -> x | Error `Singular -> raise Singular
-
-let residual_norm a x b =
-  let n = Array.length b in
-  let worst = ref 0. in
-  for row = 0 to n - 1 do
-    let s = ref (-.b.(row)) in
-    for col = 0 to n - 1 do
-      s := !s +. (a.(row).(col) *. x.(col))
-    done;
-    worst := Float.max !worst (Float.abs !s)
-  done;
-  !worst
+  if Array.length a <> Array.length b then
+    invalid_arg "Linalg.solve: dimension mismatch";
+  match Lu.factor a with
+  | Ok f -> Lu.resolve f b
+  | Error `Singular -> raise Singular

@@ -3,22 +3,11 @@
 exception Singular
 (** Raised when the system matrix is (numerically) singular. *)
 
-val solve_opt :
-  float array array -> float array -> (float array, [ `Singular ]) result
-(** [solve_opt a b] solves [a x = b] by Gaussian elimination with
-    partial pivoting; [Error `Singular] when no acceptable pivot can be
-    found.  The pivot threshold is {e scale-relative}:
-    [1e-12 * max 1 ‖a‖∞], so well-conditioned systems are accepted (and
-    degenerate ones rejected) regardless of the conductance scale of the
-    circuit.  [a] and [b] are not modified.
-    @raise Invalid_argument on dimension mismatch. *)
-
 val solve : float array array -> float array -> float array
-(** {!solve_opt}, raising instead of returning [Error].  The exception
-    is for use inside [lib/sim]; library boundaries convert it (see
+(** [solve a b] solves [a x = b] by {!Lu.factor} then {!Lu.resolve}:
+    Gaussian elimination with partial pivoting under a scale-relative
+    pivot threshold.  [a] and [b] are not modified.  The exception is
+    for use inside [lib/sim]; library boundaries convert it (see
     [Flames_core.Err.of_exn]).
     @raise Singular when no acceptable pivot can be found.
     @raise Invalid_argument on dimension mismatch. *)
-
-val residual_norm : float array array -> float array -> float array -> float
-(** Infinity norm of [a x - b] (used by tests). *)

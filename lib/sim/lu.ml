@@ -1,15 +1,13 @@
-(* LU factors that replay [Linalg.solve_opt] exactly.
+(* LU factors with partial pivoting.
 
    The factorisation records the full elimination trace — pivot-row
    swaps in order, then the in-place L/U matrix whose strict lower part
-   holds the multipliers — so that [resolve] applies to a fresh
-   right-hand side the very same float operations, in the very same
-   order, that [Linalg.solve_opt] would have applied had it been given
-   the matrix and that vector together.  The [f <> 0.] skip is kept:
-   a zero multiplier performs no subtraction on either side there, so
-   it performs none here.  Hence [resolve (factor a) b] is bit-identical
-   to [Linalg.solve_opt a b], and reusing factors across a sweep of
-   right-hand sides cannot move a single diagnosis bit. *)
+   holds the multipliers — so that [resolve] applies to a right-hand
+   side the very same float operations, in the very same order, as an
+   elimination given the matrix and that vector together.  A zero
+   multiplier performs no subtraction on either side.  Hence reusing
+   factors across a sweep of right-hand sides cannot move a single
+   diagnosis bit. *)
 
 type t = {
   lu : float array array;
@@ -28,6 +26,8 @@ let factor a =
         Float.max acc (Array.fold_left (fun s x -> s +. Float.abs x) 0. row))
       0. a
   in
+  (* scale-relative pivot threshold; [max 1.0] keeps the absolute 1e-12
+     for matrices of order unity (and for the zero matrix) *)
   let tiny = 1e-12 *. Float.max 1.0 inf_norm in
   let exception Stop in
   let m = Array.map Array.copy a in
@@ -90,6 +90,18 @@ let resolve t b =
   done;
   x
 
+let residual_norm a x b =
+  let n = Array.length b in
+  let worst = ref 0. in
+  for row = 0 to n - 1 do
+    let s = ref (-.b.(row)) in
+    for col = 0 to n - 1 do
+      s := !s +. (a.(row).(col) *. x.(col))
+    done;
+    worst := Float.max !worst (Float.abs !s)
+  done;
+  !worst
+
 (* Sherman–Morrison refresh for A' = A + u·vᵀ given factors of A:
    x = z − w·(v·z)/(1 + v·w) with A z = b and A w = u.  Unlike
    [resolve] this is *not* bit-identical to factorising A' from
@@ -113,5 +125,5 @@ let rank1_refresh t ~u ~v ~a' b =
     let scale =
       Array.fold_left (fun acc bi -> Float.max acc (Float.abs bi)) 1. b
     in
-    if Linalg.residual_norm a' x b <= 1e-8 *. scale then Some x else None
+    if residual_norm a' x b <= 1e-8 *. scale then Some x else None
   end

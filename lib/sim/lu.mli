@@ -1,10 +1,12 @@
-(** Reusable LU factors for right-hand-side sweeps.
+(** LU factors: the dense elimination behind {!Linalg.solve}, kept
+    reusable for right-hand-side sweeps.
 
-    {!factor} records the exact elimination trace of
-    {!Linalg.solve_opt} — same relative pivot threshold, same row-swap
-    sequence, same multiplier skip — so {!resolve} on a new right-hand
-    side reproduces [Linalg.solve_opt a b] {e bit for bit}.  That makes
-    factor reuse invisible to every downstream comparison: a sweep that
+    {!factor} runs Gaussian elimination with partial pivoting under a
+    {e scale-relative} pivot threshold, [1e-12 * max 1 ‖a‖∞]: MNA
+    matrices mix conductances that span many decades, so an absolute
+    threshold would call a regular all-gigaohm system singular and
+    accept a garbage pivot in an all-milliohm one.  {!resolve} applies
+    the recorded elimination to a right-hand side, so a sweep that
     re-solves many vectors against one matrix returns the same floats
     it would have returned solving each system from scratch.
 
@@ -17,13 +19,13 @@
 type t
 
 val factor : float array array -> (t, [ `Singular ]) result
-(** Factorise once.  Mirrors [Linalg.solve_opt]'s singularity
-    behaviour: [Error `Singular] exactly when the full solve would have
-    failed. *)
+(** Factorise once; [Error `Singular] when no acceptable pivot can be
+    found.
+    @raise Invalid_argument when [a] is not square. *)
 
 val resolve : t -> float array -> float array
 (** Solve for one right-hand side against stored factors.
-    [resolve (factor a) b] is bit-identical to [Linalg.solve_opt a b]. *)
+    @raise Invalid_argument on a right-hand side of the wrong length. *)
 
 val rank1_refresh :
   t ->
@@ -37,3 +39,6 @@ val rank1_refresh :
     matrix (used only to verify the residual).  [None] when the update
     denominator is degenerate or the verified residual is too large —
     the caller must then factorise [a'] itself. *)
+
+val residual_norm : float array array -> float array -> float array -> float
+(** Infinity norm of [a x - b]. *)

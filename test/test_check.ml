@@ -263,8 +263,9 @@ let test_degraded_oracle () =
 
 (* Satellite: the compiled-schedule differential oracle — >= 300 seeded
    scenarios, each diagnosed through the compiled schedule and the
-   interpreter (full, schedule-reuse and budget-tripped variants) and
-   required to agree hex-fingerprint-exactly. *)
+   reference interpreter (full, schedule-reuse, candidate-budgeted and
+   step-budgeted variants) and required to agree
+   hex-fingerprint-exactly. *)
 let test_compiled_oracle () =
   expect_pass "compiled vs interpreter" 300 Gen.scenario Oracle.check_compiled
 
@@ -376,7 +377,7 @@ let test_propagate_step_budget () =
   let obs = Gen.scenario_observations scenario in
   let model = Model.compile faulty in
   let budget = Budget.start (Budget.spec ~max_steps:1 ()) in
-  let p = Propagate.create ~budget model in
+  let p = Propagate.create ~budget (Flames_core.Schedule.of_model model) in
   List.iter (fun (q, v) -> Propagate.observe p q v) obs;
   Propagate.run p;
   check_bool "truncated after one step" true (Propagate.truncated p);

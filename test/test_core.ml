@@ -201,7 +201,7 @@ let test_propagate_divider_forward () =
      each resistor's drop — no simultaneous solving needed once mid is
      also measured *)
   let model = Model.compile (L.voltage_divider ()) in
-  let e = Propagate.create model in
+  let e = Propagate.create (Flames_core.Schedule.of_model model) in
   Propagate.observe e (Q.voltage "in") (I.crisp 10.);
   Propagate.observe e (Q.voltage "mid") (I.crisp 5.);
   Propagate.run e;
@@ -212,7 +212,7 @@ let test_propagate_divider_forward () =
 
 let test_propagate_detects_conflict () =
   let model = Model.compile (L.voltage_divider ()) in
-  let e = Propagate.create model in
+  let e = Propagate.create (Flames_core.Schedule.of_model model) in
   (* equal resistors but mid far from in/2: someone is lying *)
   Propagate.observe e (Q.voltage "in") (I.crisp 10.);
   Propagate.observe e (Q.voltage "mid") (I.crisp 9.);
@@ -221,7 +221,7 @@ let test_propagate_detects_conflict () =
 
 let test_propagate_incremental () =
   let model = Model.compile (L.voltage_divider ()) in
-  let e = Propagate.create model in
+  let e = Propagate.create (Flames_core.Schedule.of_model model) in
   Propagate.observe e (Q.voltage "in") (I.crisp 10.);
   Propagate.run e;
   let before = List.length (Propagate.conflicts e) in
@@ -234,7 +234,7 @@ let test_propagate_parameter_estimate () =
   (* measured drop and derived current give an observational estimate of
      the resistance, used by fault-mode refinement *)
   let model = Model.compile (L.voltage_divider ()) in
-  let e = Propagate.create model in
+  let e = Propagate.create (Flames_core.Schedule.of_model model) in
   Propagate.observe e (Q.voltage "in") (I.crisp 10.);
   Propagate.observe e (Q.voltage "mid") (I.crisp 5.);
   Propagate.run e;
@@ -245,7 +245,7 @@ let test_propagate_parameter_estimate () =
 let test_propagate_cell_cap () =
   let limits = { Propagate.default_limits with max_values_per_cell = 2 } in
   let model = Model.compile (L.voltage_divider ()) in
-  let e = Propagate.create ~limits model in
+  let e = Propagate.create ~limits (Flames_core.Schedule.of_model model) in
   Propagate.observe e (Q.voltage "in") (I.crisp 10.);
   Propagate.observe e (Q.voltage "mid") (I.crisp 5.);
   Propagate.run e;
@@ -258,7 +258,7 @@ let test_propagate_conflict_floor () =
   (* a barely-deviant measurement is absorbed by the conflict floor *)
   let limits = { Propagate.default_limits with min_conflict_degree = 0.9 } in
   let model = Model.compile (L.voltage_divider ()) in
-  let e = Propagate.create ~limits model in
+  let e = Propagate.create ~limits (Flames_core.Schedule.of_model model) in
   Propagate.observe e (Q.voltage "in") (I.number 10. ~spread:0.1);
   Propagate.observe e (Q.voltage "mid") (I.number 5.2 ~spread:0.1);
   Propagate.run e;
@@ -276,7 +276,7 @@ let test_propagate_guard_suspends_model () =
       ~config:{ Model.default_config with trusted = [ "vcc" ] }
       (L.three_stage_amplifier ())
   in
-  let e = Propagate.create model in
+  let e = Propagate.create (Flames_core.Schedule.of_model model) in
   Propagate.observe e (Q.voltage "n1") (I.crisp 0.);
   Propagate.run e;
   check_bool "no e1 value through suspended vbe(t1)" true
@@ -297,9 +297,9 @@ let diagnose_amp fault probes =
   Diagnose.run ~config nominal obs
 
 (* The compiled flat schedule is an execution strategy, not a semantic
-   fork: the same diagnosis through [~use_compiled:false] (interpreter),
-   the default compiled path, and an explicitly pre-compiled reused
-   schedule must agree on every reported field.  (The hex-exact
+   fork: the same diagnosis through the reference interpreter
+   ([Flames_check.Reference]), the compiled path, and an explicitly
+   pre-compiled reused schedule must agree on every reported field.  (The hex-exact
    fingerprint version of this check runs over >= 300 random scenarios
    in the check suite; this is the directed fig-7-shaped case.) *)
 let test_diagnose_compiled_matches_interpreter () =
@@ -310,13 +310,13 @@ let test_diagnose_compiled_matches_interpreter () =
     Flames_sim.Measure.probe_all ~instrument sol
       (List.map Q.voltage [ "vs"; "n2"; "v1" ])
   in
-  let interp = Diagnose.run ~config ~use_compiled:false nominal obs in
+  let interp = Flames_check.Reference.diagnose ~config nominal obs in
   let compiled = Diagnose.run ~config nominal obs in
   let schedule =
     Flames_core.Schedule.compile ~config nominal
   in
   let reused = Diagnose.run ~config ~schedule nominal obs in
-  let same label (a : Diagnose.result) (b : Diagnose.result) =
+  let same label (a : _ Diagnose.outcome) (b : Diagnose.result) =
     check_bool (label ^ ": same conflicts") true
       (a.Diagnose.conflicts = b.Diagnose.conflicts);
     check_bool (label ^ ": same symptoms") true

@@ -90,6 +90,36 @@ let test_session_budget_not_cached () =
       (List.length r1.Diagnose.diagnoses = List.length r2.Diagnose.diagnoses)
   end
 
+(* A probed transistor stage gives the guards evidence, so the session's
+   analysis runs the guard second pass; it must run on the session's
+   schedule and agree with the batch diagnosis bit for bit. *)
+let test_session_guard_pass () =
+  let nominal = Library.three_stage_amplifier ~tolerance:0.005 () in
+  let faulty =
+    Flames_circuit.Fault.inject nominal
+      (Flames_circuit.Fault.short "r2" ~parameter:"R")
+  in
+  let instrument = { Flames_sim.Measure.relative = 0.002; floor = 5e-4 } in
+  let obs =
+    Flames_sim.Measure.probe_all ~instrument
+      (Flames_sim.Mna.solve faulty)
+      (List.map Q.voltage [ "vs"; "n2"; "v1" ])
+  in
+  let config = { Flames_core.Model.default_config with trusted = [ "vcc" ] } in
+  let s = Session.create ~config nominal in
+  List.iter (fun (q, v) -> ignore (Session.add_measurement s q v)) obs;
+  let r = Session.diagnoses s in
+  check_bool "guard evidence present" true
+    (List.exists
+       (fun q ->
+         Flames_core.Propagate.best_value r.Diagnose.engine
+           ~observational:true q
+         <> None)
+       (Diagnose.guard_quantities (Session.model s)));
+  check_string "session == Diagnose.run"
+    (Flames_check.Oracle.result_fingerprint (Diagnose.run ~config nominal obs))
+    (Flames_check.Oracle.result_fingerprint r)
+
 let test_session_next_test_excludes_measured () =
   let s = Session.create (Library.three_stage_amplifier ()) in
   (match Session.next_test s with
@@ -300,6 +330,7 @@ let () =
           Alcotest.test_case "diagnoses-cached" `Quick test_session_diagnoses_cached;
           Alcotest.test_case "degraded-not-cached" `Quick
             test_session_budget_not_cached;
+          Alcotest.test_case "guard-pass" `Quick test_session_guard_pass;
           Alcotest.test_case "next-test" `Slow
             test_session_next_test_excludes_measured;
         ] );
