@@ -2,7 +2,7 @@
 # stay green before every commit (tier-1 verify + engine tests + dune-file
 # formatting).
 
-.PHONY: all build test fmt check check-deep chaos corpus bench bench-engine bench-atms bench-session bench-serve bench-obs bench-compile bench-store serve trace clean
+.PHONY: all build test fmt check check-deep chaos corpus stress bench bench-check bench-engine bench-atms bench-session bench-serve bench-obs bench-compile bench-store serve trace clean
 
 all: build
 
@@ -35,48 +35,51 @@ CHAOS_SEED ?= 0
 chaos: build
 	dune exec bin/flames_cli.exe -- chaos --iters $(CHAOS_ITERS) --seed $(CHAOS_SEED)
 
+# concurrency stress: the suites that exercise multicore contracts (the
+# wide-event total order, single-flight schedule compiles) run standalone
+# STRESS_RUNS times each; the first failure stops the loop and prints
+# that run's log
+STRESS_RUNS ?= 20
+stress: build
+	@cd _build/default/test && for i in $$(seq $(STRESS_RUNS)); do \
+	  for t in test_obs test_engine; do \
+	    ./$$t.exe > stress.log 2>&1 || { cat stress.log; \
+	      echo "stress: $$t failed on run $$i"; exit 1; }; \
+	  done; \
+	done; echo "stress: $(STRESS_RUNS) standalone runs of test_obs and test_engine green"
+
 # re-render the golden corpus after an intentional behaviour change
 corpus: build
 	dune exec bin/flames_cli.exe -- check --iters 1 --no-corpus --write-corpus
 
-# full harness: paper tables, bechamel timings, BENCH_engine.json
+# full harness: paper tables, bechamel timings and every BENCH series
 bench: build
 	dune exec bench/main.exe
 
-# just the engine throughput series (writes BENCH_engine.json)
-bench-engine: build
-	dune exec bench/main.exe -- --engine-json-only
+# One BENCH_<series>.json each, through the shared harness in
+# bench/harness (monotonic clock, median + IQR, ABBA pairs, host record,
+# one row schema); append --smoke to the command for the reduced atms
+# and compile variants CI runs.
+#   engine:  batch-engine throughput of the A2 amplifier chains at 1/2/4
+#            workers, cold and warm schedule cache
+#   atms:    naive vs interned-bitset ATMS label, nogood and hitting-set
+#            paths (hitting-chain skips past n=20)
+#   session: incremental troubleshooting sessions vs per-step cold
+#            rebuilds over the corpus scenarios
+#   obs:     wide events + digests on vs off over the fig-7 diagnosis,
+#            ABBA pairs (gate: overhead < 3%)
+#   compile: compiled schedules vs the reference interpreter on fig 7
+#            and the amplifier chains (claim: fig-7 median warm ~5x;
+#            gate: >= 3x)
+#   store:   journal append overhead per fsync mode, ABBA pairs, and
+#            recovery time vs journal length (claim: interval <= 5%;
+#            gate: < 15%)
+bench-engine bench-atms bench-session bench-obs bench-compile bench-store: build
+	dune exec bench/main.exe -- $(@:bench-%=%)
 
-# naive vs interned-bitset ATMS series (writes BENCH_atms.json);
-# add --atms-smoke for the reduced CI variant
-bench-atms: build
-	dune exec bench/main.exe -- --atms-json-only
-
-# incremental troubleshooting sessions vs per-step cold rebuilds over
-# the corpus scenarios (writes BENCH_session.json)
-bench-session: build
-	dune exec bench/main.exe -- --session-json-only
-
-# observability overhead on the fig-7 diagnosis: wide events + digests
-# on vs off, paired runs, median ratio (writes BENCH_obs.json; the CI
-# claim is overhead_pct < 3)
-bench-obs: build
-	dune exec bench/main.exe -- --obs-json-only
-
-# whole diagnoses on compiled flat schedules vs the reference
-# interpreter (Flames_check.Reference) on the fig-7 sweep and the
-# amplifier-chain scaling series, cold and warm schedule cache (writes
-# BENCH_compile.json; the CI claim is fig-7 median warm speedup >= 5).
-# Add --compile-smoke for the reduced CI variant
-bench-compile: build
-	dune exec bench/main.exe -- --compile-json-only
-
-# journal durability costs: per-step append overhead over an in-memory
-# session at each fsync discipline (paired loops, median ratio) and
-# recovery replay time vs journal length (writes BENCH_store.json; the
-# claim is interval-mode overhead <= 5)
-bench-store: build
-	dune exec bench/main.exe -- --store-json-only
+# every committed BENCH file against the checker's schema and gates
+bench-check: build
+	dune exec bench/main.exe -- --check BENCH_*.json
 
 # run the diagnosis service on the default port (SERVE_ARGS appends
 # e.g. --port 9000 --quota-rate 5)
@@ -84,7 +87,8 @@ serve: build
 	dune exec bin/flames_cli.exe -- serve $(SERVE_ARGS)
 
 # saturation sweep against an in-process server on an ephemeral port:
-# seeded clients, exact latency percentiles, writes BENCH_serve.json
+# seeded clients, exact latency percentiles, writes BENCH_serve.json in
+# the harness's row schema
 SERVE_SEED ?= 42
 SERVE_DURATION ?= 5
 SERVE_LEVELS ?= 1,2,4,8,16

@@ -7,14 +7,18 @@
    identical deterministic workloads.  Every cell asserts that both
    sides produce the same answers before it is timed.
 
-   Wall-clock, best of [reps]; written to BENCH_atms.json.  Absolute
-   numbers depend on the host, the speedup column is the point. *)
+   Median + IQR of [reps] on the harness clock; written to
+   BENCH_atms.json as one row per (series, n) cell: the indexed side's
+   timing, with the naive side's median and the speedup as counters.
+   Absolute numbers depend on the host, the speedup is the point. *)
 
+module Harness = Flames_bench.Harness
 module Env = Flames_atms.Env
 module Envindex = Flames_atms.Envindex
 module Nogood = Flames_atms.Nogood
 module Hitting = Flames_atms.Hitting
 module IS = Set.Make (Int)
+module Json = Flames_serve.Json
 
 (* {1 Deterministic workloads}
 
@@ -104,26 +108,15 @@ let naive_hitting ?(limit = 10_000) conflicts =
 
 (* {1 Series} *)
 
-(* A row is either a timed cell or an explicit skip: a series that
-   cannot run at some size (the exponential hitting enumeration past
-   ~20 assumptions) must say so in the artifact rather than silently
-   omit the cell — a missing row is indistinguishable from a forgotten
-   one, a [skipped] row is a documented decision. *)
-type timing = { naive_ns : float; indexed_ns : float }
-type cell = Timed of timing | Skipped of string  (* reason *)
-type row = { series : string; n : int; cell : cell }
-
-let speedup t = t.naive_ns /. Float.max t.indexed_ns 1.
-
-let time_ns ~reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e9
+(* A cell that cannot run at some size (the exponential hitting
+   enumeration past ~20 assumptions) is written as an explicit
+   [skipped] row rather than silently omitted: a missing row is
+   indistinguishable from a forgotten one, a skipped row is a documented
+   decision. *)
+let timed ~reps series n naive indexed =
+  let naive = Harness.sample ~reps naive in
+  Harness.versus ~baseline:("naive_ns", naive) series "indexed" n
+    (Harness.sample ~reps indexed)
 
 (* canonical form both representations can reach: sorted id lists *)
 let canon_weighted kvs =
@@ -162,12 +155,7 @@ let label_series ~reps n =
          (Envindex.to_list idx))
   in
   assert_same "label-update" n (naive ()) (indexed ());
-  {
-    series = "label-update";
-    n;
-    cell =
-      Timed { naive_ns = time_ns ~reps naive; indexed_ns = time_ns ~reps indexed };
-  }
+  timed ~reps "label-update" n naive indexed
 
 (* nogood-churn: record a nogood stream, then answer inconsistency
    queries over wider environments (the propagation-side read pattern) *)
@@ -202,25 +190,14 @@ let nogood_series ~reps n =
            (Nogood.entries db)) )
   in
   assert_same "nogood-churn" n (naive ()) (indexed ());
-  {
-    series = "nogood-churn";
-    n;
-    cell =
-      Timed { naive_ns = time_ns ~reps naive; indexed_ns = time_ns ~reps indexed };
-  }
+  timed ~reps "nogood-churn" n naive indexed
 
 (* hitting-chain: overlapping triple conflicts over n assumptions — the
    candidate-explosion shape (DESIGN.md experiment A2/explosion).  The
    minimal-family enumeration is exponential in n on both sides; past
    [hitting_max_n] assumptions BFS breadth dominates even the indexed
-   run, so larger sizes emit an explicit [Skipped] row. *)
+   run, so larger sizes emit an explicit [skipped] row. *)
 let hitting_max_n = 20
-
-let hitting_skip_reason n =
-  Printf.sprintf
-    "minimal hitting-set enumeration is exponential in n; n=%d exceeds the \
-     n<=%d bound where both sides complete under the candidate limit"
-    n hitting_max_n
 
 let hitting_series ~reps n =
   let chains = List.init (n - 2) (fun i -> [ i; i + 1; i + 2 ]) in
@@ -237,76 +214,28 @@ let hitting_series ~reps n =
      under the candidate limit both sides return the full minimal family *)
   if List.length sets >= 10_000 then
     failwith "BENCH_atms: hitting-chain hit the candidate limit";
-  {
-    series = "hitting-chain";
-    n;
-    cell =
-      Timed { naive_ns = time_ns ~reps naive; indexed_ns = time_ns ~reps indexed };
-  }
+  timed ~reps "hitting-chain" n naive indexed
 
-(* {1 JSON emission} *)
+(* {1 Emission} *)
 
-let json_path = "BENCH_atms.json"
 let full_sizes = [ 8; 12; 16; 20; 24 ]
 
 (* smoke includes one size past [hitting_max_n] so the skipped-row
    emission path is exercised by CI, not only by the full run *)
 let smoke_sizes = [ 8; 12; 24 ]
 
-let emit ?(smoke = false) ppf =
+let emit ~smoke =
   let sizes = if smoke then smoke_sizes else full_sizes in
   let reps = if smoke then 1 else 3 in
-  let rows =
-    List.concat_map
-      (fun n ->
-        [ label_series ~reps n; nogood_series ~reps n ]
-        @ [
-            (if n <= hitting_max_n then hitting_series ~reps n
-             else
-               {
-                 series = "hitting-chain";
-                 n;
-                 cell = Skipped (hitting_skip_reason n);
-               });
-          ])
-      sizes
+  let skipped n =
+    let none = { Harness.median = 0.; iqr = 0. } in
+    { Harness.series = "hitting-chain"; variant = "skipped"; n; stats = none;
+      counters = [] }
   in
-  let cell r =
-    match r.cell with
-    | Timed t ->
-      Printf.sprintf
-        "    { \"series\": %S, \"n\": %d, \"naive_ns\": %.0f, \"indexed_ns\": \
-         %.0f, \"speedup\": %.2f }"
-        r.series r.n t.naive_ns t.indexed_ns (speedup t)
-    | Skipped reason ->
-      Printf.sprintf
-        "    { \"series\": %S, \"n\": %d, \"skipped\": true, \"reason\": %S }"
-        r.series r.n reason
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"series\": \"atms-env-interning\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"sizes\": [%s],\n\
-    \  \"reps\": %d,\n\
-    \  \"rows\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    smoke
-    (String.concat ", " (List.map string_of_int sizes))
-    reps
-    (String.concat ",\n" (List.map cell rows));
-  close_out oc;
-  Format.fprintf ppf "wrote %s@." json_path;
-  List.iter
-    (fun r ->
-      match r.cell with
-      | Timed t ->
-        Format.fprintf ppf
-          "  %-14s n=%-3d naive %10.0f ns  indexed %10.0f ns  %6.2fx@."
-          r.series r.n t.naive_ns t.indexed_ns (speedup t)
-      | Skipped _ ->
-        Format.fprintf ppf "  %-14s n=%-3d skipped@." r.series r.n)
-    rows
+  Harness.write "atms" ~smoke
+    ~extra:[ ("sizes", Json.Arr (List.map (fun n -> Json.Num (float_of_int n)) sizes)) ]
+    (List.concat_map
+       (fun n ->
+         [ label_series ~reps n; nogood_series ~reps n;
+           (if n <= hitting_max_n then hitting_series ~reps n else skipped n) ])
+       sizes)

@@ -13,9 +13,13 @@
    compiled path is an optimisation, never a semantic fork — before it
    is timed.  Whole diagnoses are timed, not propagation passes alone:
    the schedule's sensitivity memo and shared prediction engine are
-   part of what compiling buys; wall-clock medians of [reps], absolute numbers host-bound,
-   the speedup columns are the point.  Written to BENCH_compile.json. *)
+   part of what compiling buys.  Written to BENCH_compile.json as one
+   row per (case, cold|warm): median + IQR of [reps], with the
+   interpreter's median and the speedup as counters; [n] is the fig-7
+   defect's position in the paper's table, or the chain length.
+   Absolute numbers are host-bound, the speedups are the point. *)
 
+module Harness = Flames_bench.Harness
 module Model = Flames_core.Model
 module Schedule = Flames_core.Schedule
 module Diagnose = Flames_core.Diagnose
@@ -24,9 +28,11 @@ module Reference = Flames_check.Reference
 module Q = Flames_circuit.Quantity
 module F = Flames_circuit.Fault
 module L = Flames_circuit.Library
+module Json = Flames_serve.Json
 
 type case = {
   series : string;  (** "fig7" | "amplifier-chain" *)
+  n : int;
   label : string;
   config : Model.config option;
   netlist : Flames_circuit.Netlist.t;
@@ -36,10 +42,11 @@ type case = {
 let instrument = { Flames_sim.Measure.relative = 0.002; floor = 5e-4 }
 
 let fig7_cases () =
-  List.map
-    (fun (j : Flames_engine.Batch.job) ->
+  List.mapi
+    (fun i (j : Flames_engine.Batch.job) ->
       {
         series = "fig7";
+        n = i + 1;
         label = j.Flames_engine.Batch.label;
         config = j.Flames_engine.Batch.config;
         netlist = j.Flames_engine.Batch.netlist;
@@ -58,38 +65,12 @@ let chain_case k =
   in
   {
     series = "amplifier-chain";
+    n = k;
     label = Printf.sprintf "chain-%02d" k;
     config = None;
     netlist = nominal;
     observations;
   }
-
-(* {1 Timing} *)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let time_ns ~reps f =
-  let samples =
-    List.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (f ()));
-        (Unix.gettimeofday () -. t0) *. 1e9)
-  in
-  median samples
-
-type row = {
-  series : string;
-  label : string;
-  interp_ns : float;
-  cold_ns : float;
-  warm_ns : float;
-}
-
-let speedup_warm r = r.interp_ns /. Float.max r.warm_ns 1.
-let speedup_cold r = r.interp_ns /. Float.max r.cold_ns 1.
 
 let run_case ~reps c =
   let run = Diagnose.run ?config:c.config in
@@ -119,63 +100,19 @@ let run_case ~reps c =
   check "compiled-cold" (cold ());
   check "compiled-warm" (warm ());
   check "compiled-warm (steady)" (warm ());
-  {
-    series = c.series;
-    label = c.label;
-    interp_ns = time_ns ~reps interp;
-    cold_ns = time_ns ~reps cold;
-    warm_ns = time_ns ~reps warm;
-  }
+  let interp = Harness.sample ~reps interp in
+  let row variant checks f =
+    Harness.versus ~baseline:("interp_ns", interp)
+      ~counters:[ ("fingerprint_checks", Json.Num checks) ]
+      c.series variant c.n (Harness.sample ~reps f)
+  in
+  [ row "cold" 1. cold; row "warm" 2. warm ]
 
-(* {1 JSON emission} *)
-
-let json_path = "BENCH_compile.json"
 let full_chain_sizes = [ 2; 4; 8; 16 ]
 let smoke_chain_sizes = [ 2; 4 ]
 
-let emit ?(smoke = false) ppf =
+let emit ~smoke =
   let chain_sizes = if smoke then smoke_chain_sizes else full_chain_sizes in
   let reps = if smoke then 1 else 5 in
   let cases = fig7_cases () @ List.map chain_case chain_sizes in
-  let rows = List.map (run_case ~reps) cases in
-  let fig7_median =
-    median
-      (List.filter_map
-         (fun r -> if r.series = "fig7" then Some (speedup_warm r) else None)
-         rows)
-  in
-  let cell r =
-    Printf.sprintf
-      "    { \"series\": %S, \"case\": %S, \"interp_ns\": %.0f, \"cold_ns\": \
-       %.0f, \"warm_ns\": %.0f, \"speedup_cold\": %.2f, \"speedup_warm\": \
-       %.2f }"
-      r.series r.label r.interp_ns r.cold_ns r.warm_ns (speedup_cold r)
-      (speedup_warm r)
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"series\": \"compiled-schedule-vs-interpreter\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"reps\": %d,\n\
-    \  \"chain_sizes\": [%s],\n\
-    \  \"fig7_median_speedup_warm\": %.2f,\n\
-    \  \"rows\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    smoke reps
-    (String.concat ", " (List.map string_of_int chain_sizes))
-    fig7_median
-    (String.concat ",\n" (List.map cell rows));
-  close_out oc;
-  Format.fprintf ppf "wrote %s@." json_path;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf
-        "  %-15s %-14s interp %11.0f ns  cold %11.0f ns (%5.2fx)  warm \
-         %11.0f ns (%5.2fx)@."
-        r.series r.label r.interp_ns r.cold_ns (speedup_cold r) r.warm_ns
-        (speedup_warm r))
-    rows;
-  Format.fprintf ppf "  fig-7 median warm speedup: %.2fx@." fig7_median
+  Harness.write "compile" ~smoke (List.concat_map (run_case ~reps) cases)

@@ -13,6 +13,7 @@
 
 open Bechamel
 open Toolkit
+module Harness = Flames_bench.Harness
 
 let ppf = Format.std_formatter
 
@@ -54,14 +55,11 @@ module L = Flames_circuit.Library
 let config = { Flames_core.Model.default_config with trusted = [ "vcc" ] }
 let instrument = { Flames_sim.Measure.relative = 0.002; floor = 5e-4 }
 
+(* the first fig-7 defect: R2 short *)
 let fig7_observations =
   lazy
-    (let nominal = L.three_stage_amplifier ~tolerance:0.005 () in
-     let faulty = F.inject nominal (F.short "r2" ~parameter:"R") in
-     let sol = Flames_sim.Mna.solve faulty in
-     ( nominal,
-       Flames_sim.Measure.probe_all ~instrument sol
-         (List.map Q.voltage [ "vs"; "n2"; "v1" ]) ))
+    (let j = List.hd (Flames_experiments.Fig7.jobs ()) in
+     Flames_engine.Batch.(j.netlist, j.observations))
 
 let fig5_observations =
   [
@@ -280,93 +278,76 @@ let report results =
 
    Wall-clock throughput of the A2 scaling series (amplifier chains)
    through the batch engine, at 1/2/4 workers, cold and warm model
-   cache.  Hand-rolled JSON: one object per (workers, cache) cell.
-   Speedup from extra workers requires actual cores — the [cores] field
-   records what the host offered. *)
+   cache: one row per (cache, workers) cell, the median of three runs,
+   with the first run's engine work counts as counters.  Speedup from extra
+   workers requires actual cores — the host record says what the host
+   offered. *)
 
-let engine_json_path = "BENCH_engine.json"
+module Json = Flames_serve.Json
 
-let engine_series_sizes = [ 2; 4; 8; 16 ]
-
-let emit_engine_json () =
-  let jobs = Flames_experiments.Explosion.jobs ~sizes:engine_series_sizes () in
-  let cell ~workers ~label ~cache =
-    (* best of three: the series is tens of milliseconds, scheduler noise
-       would otherwise dominate the w1/w4 comparison *)
-    let best (a : Engine.Stats.t) (b : Engine.Stats.t) =
-      if a.Engine.Stats.wall_time <= b.Engine.Stats.wall_time then a else b
-    in
+let emit_engine_json ~smoke =
+  let jobs = Flames_experiments.Explosion.jobs ~sizes:[ 2; 4; 8; 16 ] () in
+  let cell ~workers ~variant ~cache =
     let run () =
       let outcomes, stats = Engine.Batch.run ~workers ~cache jobs in
       assert (List.for_all Result.is_ok outcomes);
       stats
     in
+    (* work counts of the first run (the later ones always hit the
+       cache); its timings are left to the timed runs *)
     let first = run () in
-    let stats = best (best first (run ())) (run ()) in
-    (* hits/misses of the first repetition: the later ones always hit *)
-    let stats =
-      { stats with
-        Engine.Stats.cache_hits = first.Engine.Stats.cache_hits;
-        cache_misses = first.Engine.Stats.cache_misses }
+    let stats = Harness.sample ~reps:3 run in
+    let counters =
+      match Json.parse (Engine.Stats.to_json first) with
+      | Json.Obj fields ->
+        List.filter (fun (k, _) -> not (String.ends_with ~suffix:"_s" k)) fields
+      | _ -> []
     in
-    (* one schema for engine stats everywhere: these rows and the CLI's
-       --stats-json both come from [Stats.to_json_fields] *)
-    Format.asprintf "    { \"cache\": %S, %a }" label
-      Engine.Stats.to_json_fields stats
+    { Harness.series = "batch"; variant; n = workers; stats; counters }
   in
-  let cells =
-    List.concat_map
-      (fun workers ->
-        let cache = Engine.Cache.create () in
-        let cold = cell ~workers ~label:"cold" ~cache in
-        let warm = cell ~workers ~label:"warm" ~cache in
-        [ cold; warm ])
-      [ 1; 2; 4 ]
-  in
-  let oc = open_out engine_json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"series\": \"A2-scaling-amplifier-chains\",\n\
-    \  \"sizes\": [%s],\n\
-    \  \"jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"runs\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (String.concat ", " (List.map string_of_int engine_series_sizes))
-    (List.length jobs)
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" cells);
-  close_out oc;
-  Format.fprintf ppf "wrote %s@." engine_json_path
+  Harness.write "engine" ~smoke
+    (List.concat_map
+       (fun workers ->
+         let cache = Engine.Cache.create () in
+         let cold = cell ~workers ~variant:"cold" ~cache in
+         [ cold; cell ~workers ~variant:"warm" ~cache ])
+       [ 1; 2; 4 ])
 
+let series =
+  [
+    ("engine", emit_engine_json);
+    ("atms", Atms_series.emit);
+    ("session", Session_series.emit);
+    ("obs", Obs_series.emit);
+    ("compile", Compile_series.emit);
+    ("store", Store_series.emit);
+  ]
+
+let usage () =
+  prerr_endline
+    "usage: main.exe [--smoke] [SERIES...]   (engine atms session obs compile \
+     store)\n       main.exe --check FILE...";
+  exit 2
+
+(* No series: the paper tables, the bechamel timings and every series.
+   [--smoke] runs the reduced atms and compile variants CI uses. *)
 let () =
-  let flag f = Array.exists (fun a -> a = f) Sys.argv in
-  let engine_json_only = flag "--engine-json-only" in
-  let atms_json_only = flag "--atms-json-only" in
-  let session_json_only = flag "--session-json-only" in
-  let obs_json_only = flag "--obs-json-only" in
-  let compile_json_only = flag "--compile-json-only" in
-  let store_json_only = flag "--store-json-only" in
-  let smoke = flag "--atms-smoke" in
-  let compile_smoke = flag "--compile-smoke" in
-  if engine_json_only then emit_engine_json ()
-  else if atms_json_only then Atms_series.emit ~smoke ppf
-  else if session_json_only then Session_series.emit ppf
-  else if obs_json_only then Obs_series.emit ppf
-  else if compile_json_only then Compile_series.emit ~smoke:compile_smoke ppf
-  else if store_json_only then Store_series.emit ppf
-  else begin
-    regenerate_tables ();
-    Format.fprintf ppf "================ timing benches ================@.";
-    Format.pp_print_flush ppf ();
-    let results = run_benchmarks () in
-    report results;
-    emit_engine_json ();
-    Atms_series.emit ~smoke ppf;
-    Session_series.emit ppf;
-    Obs_series.emit ppf;
-    Compile_series.emit ~smoke:compile_smoke ppf;
-    Store_series.emit ppf
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | "--check" :: (_ :: _ as files) ->
+    let ok path =
+      match Flames_bench.Check.file path with
+      | Ok () -> Printf.printf "%s: ok\n" path; true
+      | Error m -> Printf.printf "%s: %s\n" path m; false
+    in
+    if not (List.for_all Fun.id (List.map ok files)) then exit 1
+  | args ->
+    let smoke = List.mem "--smoke" args in
+    let names = List.filter (( <> ) "--smoke") args in
+    if List.exists (fun n -> not (List.mem_assoc n series)) names then usage ();
+    if names <> [] then List.iter (fun n -> List.assoc n series ~smoke) names
+    else begin
+      regenerate_tables ();
+      Format.fprintf ppf "================ timing benches ================@.";
+      report (run_benchmarks ());
+      List.iter (fun (_, emit) -> emit ~smoke) series
+    end

@@ -6,36 +6,25 @@
    ([Events.set_enabled false], no context — the hot path degenerates
    to one atomic load per call site) and fully instrumented (a fresh
    context per run, one wide event, one digest observation — exactly
-   what the serve layer adds per request).  Runs come in adjacent
-   pairs — alternating which side goes first to cancel positional
-   drift — each side is the min of two back-to-back runs (timing noise
-   on a shared host is one-sided spikes; the min inside a pair chops
-   them without losing pair locality, unlike a whole-sweep min whose
-   two minima come from different drift epochs), and the reported
-   overhead is the median of the per-pair wall ratios, so an outlier
-   spoils one ratio instead of the whole estimate (single-run minima
-   proved ±3.5% noisy here, drowning the real sub-0.1% cost).  The
-   claim in CI: instrumentation adds less than 3% to the diagnosis
-   wall time. *)
+   what the serve layer adds per request).  The harness's paired
+   protocol runs the two sides in ABBA pairs and reports the median of
+   the per-pair wall ratios, so an outlier spoils one ratio instead of
+   the whole estimate.  Each side is the min of two back-to-back runs:
+   timing noise on a shared host is one-sided spikes, and the min
+   inside a pair chops them without losing pair locality (single-run
+   minima proved ±3.5% noisy here, drowning the real sub-0.1% cost).
+   The claim checked in CI: instrumentation adds less than 3% to the
+   diagnosis wall time. *)
 
-module Q = Flames_circuit.Quantity
-module F = Flames_circuit.Fault
-module L = Flames_circuit.Library
+module Harness = Flames_bench.Harness
 module Context = Flames_obs.Context
 module Events = Flames_obs.Events
 module Ids = Flames_obs.Ids
 module Qdigest = Flames_obs.Digest
+module Json = Flames_serve.Json
 
-let config = { Flames_core.Model.default_config with trusted = [ "vcc" ] }
-let instrument = { Flames_sim.Measure.relative = 0.002; floor = 5e-4 }
-
-let fig7 () =
-  let nominal = L.three_stage_amplifier ~tolerance:0.005 () in
-  let faulty = F.inject nominal (F.short "r2" ~parameter:"R") in
-  let sol = Flames_sim.Mna.solve faulty in
-  ( nominal,
-    Flames_sim.Measure.probe_all ~instrument sol
-      (List.map Q.voltage [ "vs"; "n2"; "v1" ]) )
+(* the first fig-7 defect: R2 short *)
+let fig7 = List.hd (Flames_experiments.Fig7.jobs ())
 
 let pairs = 25
 
@@ -43,69 +32,45 @@ let family =
   Qdigest.family ~slo:0.25 ~help:"obs-overhead bench digest"
     "flames_bench_obs_seconds"
 
-let time_one ~instrumented i nominal obs =
+let time_one ~instrumented i =
+  let { Flames_engine.Batch.netlist; observations; config; _ } = fig7 in
+  let diagnose () = ignore (Flames_core.Diagnose.run ?config netlist observations) in
   (* a clean heap per sample: a major collection crossing one side's
      run but not the other's would read as phantom overhead *)
   Gc.major ();
-  let t0 = Unix.gettimeofday () in
-  (if instrumented then
-     let ctx = Context.make ~trace_id:(Ids.trace_id ()) ~route:"bench" () in
-     Context.with_context ctx (fun () ->
-         let s0 = Unix.gettimeofday () in
-         ignore (Flames_core.Diagnose.run ~config nominal obs);
-         let dt = Unix.gettimeofday () -. s0 in
-         Qdigest.observe_in family "bench" dt;
-         Events.emit ~ctx ~name:"bench.job"
-           [ ("i", Events.Int i); ("elapsed_ms", Events.Num (dt *. 1e3)) ])
-   else ignore (Flames_core.Diagnose.run ~config nominal obs));
-  Unix.gettimeofday () -. t0
+  snd
+  @@ Harness.time (fun () ->
+         if instrumented then
+           let ctx = Context.make ~trace_id:(Ids.trace_id ()) ~route:"bench" () in
+           Context.with_context ctx (fun () ->
+               let (), dt = Harness.time diagnose in
+               Qdigest.observe_in family "bench" (dt *. 1e-9);
+               Events.emit ~ctx ~name:"bench.job"
+                 [ ("i", Events.Int i); ("elapsed_ms", Events.Num (dt *. 1e-6)) ])
+         else diagnose ())
 
-let path = "BENCH_obs.json"
-
-let emit ppf =
-  let nominal, obs = fig7 () in
-  ignore (Flames_core.Diagnose.run ~config nominal obs) (* warm-up *);
-  let base = ref infinity and instr = ref infinity in
+let emit ~smoke =
+  ignore (time_one ~instrumented:false 0) (* warm-up *);
   let side instrumented i =
     Events.set_enabled instrumented;
-    let dt =
-      Float.min
-        (time_one ~instrumented i nominal obs)
-        (time_one ~instrumented i nominal obs)
-    in
-    let best = if instrumented then instr else base in
-    best := Float.min !best dt;
-    dt
+    Float.min (time_one ~instrumented i) (time_one ~instrumented i)
   in
-  let ratios =
+  let p =
     Fun.protect ~finally:(fun () -> Events.set_enabled true) @@ fun () ->
-    List.init pairs (fun i ->
-        (* ABBA: even pairs run bare first, odd pairs instrumented
-           first *)
-        if i mod 2 = 0 then
-          let b = side false i in
-          side true i /. b
-        else
-          let t = side true i in
-          t /. side false i)
+    Harness.paired ~pairs (side false) (side true)
   in
-  let sorted = List.sort Float.compare ratios in
-  let median = List.nth sorted (pairs / 2) in
-  let overhead_pct = (median -. 1.) *. 100. in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"series\": \"obs-overhead-fig7\",\n\
-    \  \"pairs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"baseline_ms\": %.3f,\n\
-    \  \"instrumented_ms\": %.3f,\n\
-    \  \"overhead_pct\": %.3f,\n\
-    \  \"threshold_pct\": 3.0\n\
-     }\n"
-    pairs
-    (Domain.recommended_domain_count ())
-    (!base *. 1e3) (!instr *. 1e3) overhead_pct;
-  close_out oc;
-  Format.fprintf ppf "wrote %s (events+digests overhead: %+.2f%%)@." path
-    overhead_pct
+  Harness.write "obs" ~smoke
+    [
+      {
+        Harness.series = "fig7";
+        variant = "instrumented";
+        n = pairs;
+        stats = p.b;
+        counters =
+          [
+            ("bare_ns", Json.Num p.a.median);
+            ("ratio_iqr", Json.Num p.ratio.iqr);
+            ("overhead_pct", Json.Num ((p.ratio.median -. 1.) *. 100.));
+          ];
+      };
+    ]

@@ -9,16 +9,19 @@
    bit-identical results (the session-equivalence oracle).
 
    This series replays the corpus troubleshooting scenarios step by
-   step, timing each measure→diagnose round both ways, and reports the
-   per-scenario and overall cold/session wall ratios.  Wall clocks are
-   host-dependent; the ratio is the claim. *)
+   step, timing each measure→diagnose round both ways: one row per
+   scenario timing the session loop, with the cold loop's median and
+   both per-step lists as counters.  Wall clocks are host-dependent;
+   the overall cold/session ratio is the claim. *)
 
+module Harness = Flames_bench.Harness
 module I = Flames_fuzzy.Interval
 module Q = Flames_circuit.Quantity
 module F = Flames_circuit.Fault
 module L = Flames_circuit.Library
 module Session = Flames_session.Session
 module Diagnose = Flames_core.Diagnose
+module Json = Flames_serve.Json
 
 type scenario = {
   name : string;
@@ -65,11 +68,6 @@ let observations_of s =
     Flames_sim.Measure.probe_all ~instrument sol
       (List.map Q.voltage s.probes) )
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* Per-step wall of the stateless loop: every round re-runs the whole
    [Diagnose.run] over the measurements so far (compile + sweeps +
    prediction + propagation + analysis). *)
@@ -77,110 +75,53 @@ let cold_steps nominal observations =
   List.mapi
     (fun k _ ->
       let upto = List.filteri (fun i _ -> i <= k) observations in
-      let _, dt = time (fun () -> ignore (Diagnose.run nominal upto)) in
-      dt)
+      snd (Harness.time (fun () -> ignore (Diagnose.run nominal upto))))
     observations
 
 (* Per-step wall of the session loop: one [add_measurement] plus the
    (lazily rebuilt) [diagnoses]; setup (create = compile + sweeps +
    prediction + empty rebuild) is reported separately. *)
 let session_steps nominal observations =
-  let session, setup = time (fun () -> Session.create nominal) in
+  let session, setup = Harness.time (fun () -> Session.create nominal) in
   let steps =
     List.map
       (fun (q, v) ->
-        let _, dt =
-          time (fun () ->
-              ignore (Session.add_measurement session q v);
-              ignore (Session.diagnoses session))
-        in
-        dt)
+        snd
+          (Harness.time (fun () ->
+               ignore (Session.add_measurement session q v);
+               ignore (Session.diagnoses session))))
       observations
   in
   (setup, steps)
 
-(* Best of [reps]: these are millisecond-scale loops, scheduler noise
-   would otherwise dominate the ratio. *)
-let best_of reps f =
-  let rec go best n =
-    if n = 0 then best
-    else
-      let r = f () in
-      let smaller a b = if List.fold_left ( +. ) 0. a <= List.fold_left ( +. ) 0. b then a else b in
-      go (smaller best r) (n - 1)
+(* Medians over [reps] runs of a loop: per step, and of the loop's
+   total.  These are millisecond-scale loops, so one run is noise. *)
+let reps = 3
+
+let summarise runs =
+  let total = Harness.stats (List.map (List.fold_left ( +. ) 0.) runs) in
+  let per_step =
+    List.mapi
+      (fun k _ -> Json.Num (Harness.median (List.map (fun r -> List.nth r k) runs)))
+      (List.hd runs)
   in
-  let first = f () in
-  go first (reps - 1)
-
-let ms dt = dt *. 1e3
-
-let json_floats l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%.3f") l) ^ "]"
-
-type row = {
-  scenario : string;
-  steps : int;
-  cold_ms : float list;
-  session_setup_ms : float;
-  session_ms : float list;
-}
-
-let total = List.fold_left ( +. ) 0.
-
-let row_json r =
-  let cold_total = total r.cold_ms in
-  let session_total = total r.session_ms in
-  Printf.sprintf
-    "    { \"scenario\": %S, \"steps\": %d, \"cold_ms\": %s, \
-     \"session_setup_ms\": %.3f, \"session_ms\": %s, \"cold_total_ms\": \
-     %.3f, \"session_total_ms\": %.3f, \"speedup\": %.2f }"
-    r.scenario r.steps
-    (json_floats (List.map ms r.cold_ms))
-    (ms r.session_setup_ms)
-    (json_floats (List.map ms r.session_ms))
-    (ms cold_total) (ms session_total)
-    (cold_total /. Float.max 1e-9 session_total)
+  (total, per_step)
 
 let measure_scenario s =
   let nominal, observations = observations_of s in
-  let cold_ms = best_of 3 (fun () -> cold_steps nominal observations) in
-  let setup = ref 0. in
-  let session_ms =
-    best_of 3 (fun () ->
-        let su, steps = session_steps nominal observations in
-        setup := su;
-        steps)
+  let cold, cold_steps =
+    summarise (List.init reps (fun _ -> cold_steps nominal observations))
   in
-  {
-    scenario = s.name;
-    steps = List.length observations;
-    cold_ms;
-    session_setup_ms = !setup;
-    session_ms;
-  }
+  let runs = List.init reps (fun _ -> session_steps nominal observations) in
+  let session, session_steps = summarise (List.map snd runs) in
+  Harness.versus ~baseline:("cold_ns", cold)
+    ~counters:
+      [
+        ("setup_ns", Json.Num (Harness.median (List.map fst runs)));
+        ("cold_step_ns", Json.Arr cold_steps);
+        ("session_step_ns", Json.Arr session_steps);
+      ]
+    s.name "session" (List.length observations) session
 
-let path = "BENCH_session.json"
-
-let emit ppf =
-  let rows = List.map measure_scenario scenarios in
-  let cold_total = total (List.concat_map (fun r -> r.cold_ms) rows) in
-  let session_total = total (List.concat_map (fun r -> r.session_ms) rows) in
-  let speedup = cold_total /. Float.max 1e-9 session_total in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"series\": \"session-incremental-vs-cold\",\n\
-    \  \"cores\": %d,\n\
-    \  \"scenarios\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"cold_total_ms\": %.3f,\n\
-    \  \"session_total_ms\": %.3f,\n\
-    \  \"speedup\": %.2f\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.map row_json rows))
-    (ms cold_total) (ms session_total) speedup;
-  close_out oc;
-  Format.fprintf ppf "wrote %s (per-step session vs cold rebuild: %.1fx)@."
-    path speedup
+let emit ~smoke =
+  Harness.write "session" ~smoke (List.map measure_scenario scenarios)

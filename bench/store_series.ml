@@ -5,8 +5,9 @@
    - journaling a troubleshooting step ahead of its reply is nearly free
      against the diagnosis work the step already does: at the default
      [fsync=interval] discipline the per-step overhead over a plain
-     in-memory session must stay within a few percent (the acceptance
-     gate is 5%); [fsync=always] shows what the full
+     in-memory session must stay within a few percent (the claim is
+     5%; the checker's ceiling for noisy CI runners is 15%);
+     [fsync=always] shows what the full
      survive-kill-9-per-step guarantee costs instead;
    - recovery replays the journal through the session layer at a rate
      that makes restart time a function of the *live* state (snapshots
@@ -15,12 +16,14 @@
    Wall clocks are host-dependent; the overhead percentages and the
    per-record recovery rate are the claims. *)
 
+module Harness = Flames_bench.Harness
 module I = Flames_fuzzy.Interval
 module Q = Flames_circuit.Quantity
 module L = Flames_circuit.Library
 module Session = Flames_session.Session
 module Journal = Flames_store.Journal
 module Record = Flames_store.Record
+module Json = Flames_serve.Json
 
 let steps = 48
 let recovery_lengths = [ 16; 64; 256; 1024 ]
@@ -46,13 +49,6 @@ let fresh_dir =
     in
     rm_rf dir;
     dir
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let ms dt = dt *. 1e3
 
 (* The step sequence both loops replay: measurements cycling over the
    Sallen–Key filter's probe points, values spread around the passband
@@ -84,7 +80,7 @@ let run_loop journal =
            { sid = "bench"; source = Record.Builtin model_name; trusted = [] }))
     journal;
   let (), dt =
-    time (fun () ->
+    Harness.time (fun () ->
         List.iter
           (fun (q, v) ->
             let m = Session.add_measurement session q v in
@@ -107,42 +103,34 @@ let journaled_loop fsync =
   let j = Journal.open_ ~fsync dir in
   Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () -> run_loop (Some j)
 
-type append_row = {
-  mode : string;
-  plain_ms : float;
-  journaled_ms : float;
-  overhead_pct : float;
-}
-
-(* Paired and interleaved: each rep times the plain loop right next to
-   the journaled one and contributes one journaled/plain ratio; the
-   median ratio is the overhead.  Slow drift in the diagnosis cost
-   (cache warmth, allocator state, cpu frequency) moves both elements of
-   a pair together, so it cancels out of the ratio — unlike comparing a
-   best-of-N from each side, which lets drift land on one side. *)
-let append_reps = 9
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
+(* Paired and interleaved (the harness's ABBA protocol): each pair
+   times the plain loop right next to the journaled one and contributes
+   one journaled/plain ratio; the median ratio is the overhead.  Slow
+   drift in the diagnosis cost (cache warmth, allocator state, cpu
+   frequency) moves both elements of a pair together, so it cancels out
+   of the ratio — unlike comparing a best-of-N from each side, which
+   lets drift land on one side. *)
+let append_pairs = 9
 
 let append_row (mode, fsync) =
   ignore (plain_loop ());
   ignore (journaled_loop fsync);
-  let pairs =
-    List.init append_reps (fun _ ->
-        let p = plain_loop () in
-        let j = journaled_loop fsync in
-        (p, j))
+  let p =
+    Harness.paired ~pairs:append_pairs
+      (fun _ -> plain_loop ())
+      (fun _ -> journaled_loop fsync)
   in
-  let ratio = median (List.map (fun (p, j) -> j /. Float.max 1e-9 p) pairs) in
-  let plain = median (List.map fst pairs) in
   {
-    mode;
-    plain_ms = ms plain;
-    journaled_ms = ms (plain *. ratio);
-    overhead_pct = (ratio -. 1.) *. 100.;
+    Harness.series = "append";
+    variant = mode;
+    n = steps;
+    stats = p.b;
+    counters =
+      [
+        ("plain_ns", Json.Num p.a.median);
+        ("ratio_iqr", Json.Num p.ratio.iqr);
+        ("overhead_pct", Json.Num ((p.ratio.median -. 1.) *. 100.));
+      ];
   }
 
 let append_modes =
@@ -151,8 +139,6 @@ let append_modes =
     ("interval", Journal.Interval 0.05);
     ("always", Journal.Always);
   ]
-
-type recovery_row = { ops : int; bytes : int; recover_ms : float; sessions : int }
 
 let journal_bytes dir =
   Array.fold_left
@@ -177,60 +163,28 @@ let recovery_row ops =
   done;
   Journal.close j;
   let bytes = journal_bytes dir in
-  let recovered, dt = time (fun () -> Journal.recover dir) in
-  if recovered.Journal.records <> ops then
-    failwith
-      (Printf.sprintf "store bench: recovered %d of %d records"
-         recovered.Journal.records ops);
+  let sessions = ref 0 in
+  let stats =
+    Harness.sample ~reps:3 (fun () ->
+        let recovered = Journal.recover dir in
+        if recovered.Journal.records <> ops then
+          failwith
+            (Printf.sprintf "store bench: recovered %d of %d records"
+               recovered.Journal.records ops);
+        sessions := List.length recovered.Journal.entries)
+  in
   {
-    ops;
-    bytes;
-    recover_ms = ms dt;
-    sessions = List.length recovered.Journal.entries;
+    Harness.series = "recovery";
+    variant = "replay";
+    n = ops;
+    stats;
+    counters =
+      [
+        ("bytes", Json.Num (float_of_int bytes));
+        ("sessions", Json.Num (float_of_int !sessions));
+      ];
   }
 
-let path = "BENCH_store.json"
-
-let append_row_json r =
-  Printf.sprintf
-    "    { \"mode\": %S, \"steps\": %d, \"plain_ms\": %.3f, \"journaled_ms\": \
-     %.3f, \"overhead_pct\": %.2f }"
-    r.mode steps r.plain_ms r.journaled_ms r.overhead_pct
-
-let recovery_row_json r =
-  Printf.sprintf
-    "    { \"ops\": %d, \"bytes\": %d, \"sessions\": %d, \"recover_ms\": %.3f }"
-    r.ops r.bytes r.sessions r.recover_ms
-
-let emit ppf =
-  let append_rows = List.map append_row append_modes in
-  let recovery_rows = List.map recovery_row recovery_lengths in
-  let interval_overhead =
-    match List.find_opt (fun r -> r.mode = "interval") append_rows with
-    | Some r -> r.overhead_pct
-    | None -> nan
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"series\": \"store-durability\",\n\
-    \  \"cores\": %d,\n\
-    \  \"append\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"recovery\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"interval_overhead_pct\": %.2f\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.map append_row_json append_rows))
-    (String.concat ",\n" (List.map recovery_row_json recovery_rows))
-    interval_overhead;
-  close_out oc;
-  Format.fprintf ppf
-    "wrote %s (journal overhead per step: interval %.2f%%, always %.2f%%)@."
-    path interval_overhead
-    (match List.find_opt (fun r -> r.mode = "always") append_rows with
-    | Some r -> r.overhead_pct
-    | None -> nan)
+let emit ~smoke =
+  Harness.write "store" ~smoke
+    (List.map append_row append_modes @ List.map recovery_row recovery_lengths)

@@ -1,10 +1,13 @@
 (* Load generator for the diagnosis service: seeded concurrent clients,
    a saturation sweep over client counts, exact latency percentiles and
-   a BENCH_serve.json report.  --spawn runs the server in-process on an
-   ephemeral port, so CI needs no background process or port pick. *)
+   a BENCH_serve.json report in the bench harness's row schema.  --spawn
+   runs the server in-process on an ephemeral port, so CI needs no
+   background process or port pick. *)
 
 module Server = Flames_serve.Server
 module Loadgen = Flames_serve.Loadgen
+module Harness = Flames_bench.Harness
+module Json = Flames_serve.Json
 
 open Cmdliner
 
@@ -15,40 +18,37 @@ let die fmt =
       exit 2)
     fmt
 
-let levels_conv =
-  let parse s =
-    let parts =
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun p -> p <> "")
-    in
-    let numeric = List.map int_of_string_opt parts in
-    if parts = [] || List.exists Option.is_none numeric then
-      Error (`Msg (Printf.sprintf "bad client levels %S (want e.g. 1,2,4)" s))
-    else begin
-      let levels = List.filter_map Fun.id numeric in
-      if List.exists (fun n -> n < 1) levels then
-        Error (`Msg "client levels must be >= 1")
-      else Ok levels
-    end
-  in
-  let print ppf levels =
-    Format.fprintf ppf "%s"
-      (String.concat "," (List.map string_of_int levels))
-  in
-  Arg.conv (parse, print)
-
-let print_level (s : Loadgen.level_stats) =
-  Printf.eprintf
-    "clients %3d: %5d req %7.1f req/s  ok %5d shed %4d err %d proto %d  p50 \
-     %.1f ms p95 %.1f ms p99 %.1f ms\n\
-     %!"
-    s.Loadgen.clients s.Loadgen.requests s.Loadgen.throughput_rps s.Loadgen.ok
-    s.Loadgen.shed s.Loadgen.errors s.Loadgen.protocol_errors s.Loadgen.p50_ms
-    s.Loadgen.p95_ms s.Loadgen.p99_ms
+(* One row per client level: the median and IQR are of the 200
+   responses' latencies, the counters what the level did. *)
+let row (s : Loadgen.level_stats) =
+  let ns = Harness.sorted (List.map (fun t -> t *. 1e9) s.Loadgen.latencies) in
+  let count n = Json.Num (float_of_int n) in
+  let q p = Json.Num (Harness.quantile ns p) in
+  {
+    Harness.series = "serve";
+    variant = "mixed";
+    n = s.Loadgen.clients;
+    stats = Harness.stats (Array.to_list ns);
+    counters =
+      [
+        ("requests", count s.Loadgen.requests);
+        ("ok", count s.Loadgen.ok);
+        ("shed", count s.Loadgen.shed);
+        ("errors", count s.Loadgen.errors);
+        ("protocol_errors", count s.Loadgen.protocol_errors);
+        ("degraded", count s.Loadgen.degraded);
+        ("throughput_rps", Json.Num s.Loadgen.throughput_rps);
+        ("p95_ns", q 0.95);
+        ("p99_ns", q 0.99);
+        ("max_ns", q 1.);
+      ];
+  }
 
 let run host port levels duration seed json_path spawn workers max_inflight
     quota_rate quota_burst wide_events =
   if duration <= 0. then die "--duration must be > 0 (got %g)" duration;
+  if levels = [] || List.exists (fun n -> n < 1) levels then
+    die "client levels must be >= 1 (want e.g. 1,2,4)";
   if wide_events <> None && not spawn then
     die "--wide-events records the spawned server's events; add --spawn";
   Option.iter
@@ -84,21 +84,19 @@ let run host port levels duration seed json_path spawn workers max_inflight
        Printf.sprintf " (spawned server: %d workers, max-inflight %d)" workers
          max_inflight
      else "");
-  let report =
+  let levels =
     Fun.protect
       ~finally:(fun () -> Option.iter Server.stop server)
-      (fun () ->
-        Loadgen.sweep ~progress:print_level ~host ~port ~seed ~duration levels)
+      (fun () -> Loadgen.sweep ~host ~port ~seed ~duration levels)
   in
-  Option.iter
-    (fun path ->
-      Loadgen.write_json path report;
-      Printf.eprintf "flames_load: wrote %s\n%!" path)
-    json_path;
+  let rows = List.map row levels in
+  (match json_path with
+  | Some path -> Harness.write ~path ~smoke:false "serve" rows
+  | None -> List.iter Harness.print_row rows);
   let protocol_errors =
     List.fold_left
       (fun acc (s : Loadgen.level_stats) -> acc + s.Loadgen.protocol_errors)
-      0 report.Loadgen.levels
+      0 levels
   in
   if protocol_errors > 0 then begin
     Printf.eprintf "flames_load: %d protocol errors\n%!" protocol_errors;
@@ -118,7 +116,7 @@ let main =
     let doc = "Comma-separated client counts for the saturation sweep." in
     Arg.(
       value
-      & opt levels_conv [ 1; 2; 4; 8 ]
+      & opt (list int) [ 1; 2; 4; 8 ]
       & info [ "levels" ] ~docv:"N,N,..." ~doc)
   in
   let duration_arg =

@@ -6,6 +6,13 @@ module Interval = Flames_fuzzy.Interval
 
 type entry = { schedule : Schedule.t; mutable last_used : int }
 
+(* A compile in progress: later callers of the same key wait on [done_]
+   for the first caller's outcome instead of compiling again. *)
+type flight = {
+  done_ : Condition.t;
+  mutable outcome : (Schedule.t, exn * Printexc.raw_backtrace) result option;
+}
+
 (* The per-instance counters are atomics, not plain fields: [stats]
    reads them without taking the cache mutex, and future lock-narrowing
    must not be able to lose increments under domain contention.  Each
@@ -14,6 +21,7 @@ type entry = { schedule : Schedule.t; mutable last_used : int }
 type t = {
   mutex : Mutex.t;
   table : (string, entry) Hashtbl.t;
+  inflight : (string, flight) Hashtbl.t;
   capacity : int;
   mutable tick : int;
   hits : int Atomic.t;
@@ -34,6 +42,7 @@ let create ?(capacity = 64) () =
   {
     mutex = Mutex.create ();
     table = Hashtbl.create (2 * capacity);
+    inflight = Hashtbl.create 8;
     capacity;
     tick = 0;
     hits = Atomic.make 0;
@@ -117,44 +126,68 @@ let evict_lru cache =
     | None -> ()
   done
 
+(* Single flight: a miss registers the key as in flight and compiles
+   outside the lock, so distinct keys compile in parallel; racing
+   callers of the same key wait for that one compile and count as hits.
+   A compile that raises caches nothing and hands its exception to
+   every waiter. *)
 let compile cache ?config netlist =
   let key = fingerprint ?config netlist in
   Mutex.lock cache.mutex;
   cache.tick <- cache.tick + 1;
   let tick = cache.tick in
-  match Hashtbl.find_opt cache.table key with
-  | Some entry ->
-    entry.last_used <- tick;
+  let hit schedule =
     Atomic.incr cache.hits;
     Flames_obs.Metrics.incr Telemetry.cache_hits_total;
     Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "hit");
-    let schedule = entry.schedule in
     Mutex.unlock cache.mutex;
     schedule
-  | None ->
-    Atomic.incr cache.misses;
-    Flames_obs.Metrics.incr Telemetry.cache_misses_total;
-    Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "miss");
-    (* compile outside the lock so distinct keys compile in parallel;
-       a racing domain may compile the same key twice — both results
-       are identical and the first insertion wins *)
-    Mutex.unlock cache.mutex;
-    let schedule = Schedule.compile ?config netlist in
-    Mutex.lock cache.mutex;
-    let schedule =
-      match Hashtbl.find_opt cache.table key with
-      | Some entry ->
-        entry.last_used <- tick;
-        entry.schedule
-      | None ->
+  in
+  let finish = function
+    | Ok schedule -> schedule
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  in
+  match Hashtbl.find_opt cache.table key with
+  | Some entry ->
+    entry.last_used <- tick;
+    hit entry.schedule
+  | None -> (
+    match Hashtbl.find_opt cache.inflight key with
+    | Some flight -> (
+      while Option.is_none flight.outcome do
+        Condition.wait flight.done_ cache.mutex
+      done;
+      match flight.outcome with
+      | Some (Ok schedule) -> hit schedule
+      | Some (Error _ as failed) ->
+        Mutex.unlock cache.mutex;
+        finish failed
+      | None -> assert false)
+    | None ->
+      Atomic.incr cache.misses;
+      Flames_obs.Metrics.incr Telemetry.cache_misses_total;
+      Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "miss");
+      let flight = { done_ = Condition.create (); outcome = None } in
+      Hashtbl.replace cache.inflight key flight;
+      Mutex.unlock cache.mutex;
+      let outcome =
+        match Schedule.compile ?config netlist with
+        | schedule -> Ok schedule
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      Mutex.lock cache.mutex;
+      Hashtbl.remove cache.inflight key;
+      flight.outcome <- Some outcome;
+      Condition.broadcast flight.done_;
+      (match outcome with
+      | Ok schedule ->
         Hashtbl.replace cache.table key { schedule; last_used = tick };
         evict_lru cache;
-        schedule
-    in
-    Flames_obs.Metrics.gauge_set Telemetry.cache_resident
-      (float_of_int (Hashtbl.length cache.table));
-    Mutex.unlock cache.mutex;
-    schedule
+        Flames_obs.Metrics.gauge_set Telemetry.cache_resident
+          (float_of_int (Hashtbl.length cache.table))
+      | Error _ -> ());
+      Mutex.unlock cache.mutex;
+      finish outcome)
 
 let stats cache =
   Mutex.lock cache.mutex;

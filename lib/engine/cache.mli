@@ -53,6 +53,9 @@ val fingerprint : ?schema:int -> ?config:Model.config -> Netlist.t -> string
 val compile : t -> ?config:Model.config -> Netlist.t -> Schedule.t
 (** [compile cache netlist] returns the cached compiled schedule for
     the input's fingerprint, compiling (and caching) it on a miss.
+    Single flight: one compile per key, however many domains ask at
+    once; the others wait for it and count as hits.  If that compile
+    raises, every waiter gets the same exception and nothing is cached.
     Drop-in replacement for [Schedule.compile]. *)
 
 val stats : t -> stats

@@ -37,10 +37,9 @@ let throughput t =
   if t.wall_time > 0. then float_of_int (t.succeeded + t.failed) /. t.wall_time
   else 0.
 
-(* Shared JSON schema: the bench harness (BENCH_*.json) and the CLI's
-   --stats-json both emit these fields, so downstream tooling parses one
-   shape.  [to_json_fields] is braceless so callers can prepend their own
-   context fields (e.g. the bench's "cache" tag) inside one object. *)
+(* Shared JSON schema: the CLI's --stats-json and the work counters of
+   BENCH_engine.json's rows both come from [to_json], so downstream
+   tooling parses one shape. *)
 let to_json_fields ppf t =
   Format.fprintf ppf
     "\"jobs\": %d, \"succeeded\": %d, \"failed\": %d, \"workers\": %d, \

@@ -8,8 +8,9 @@
    installed (--wide-events FILE), writes one JSON line per event.  The
    ring is mutex-protected: events are a per-request cost, not a
    per-sample one, so a lock is fine and guarantees the recorder never
-   tears an event under concurrent emitters.  A global atomic sequence
-   number gives events a total order that survives the export. *)
+   tears an event under concurrent emitters.  A global sequence number,
+   assigned under the same lock that orders the ring slots and the sink
+   lines, gives events a total order that survives the export. *)
 
 type value = Context.value =
   | Str of string
@@ -31,7 +32,6 @@ type t = {
 let enabled_flag = Atomic.make true
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
-let seq_counter = Atomic.make 0
 
 (* --- ring --- *)
 
@@ -46,7 +46,10 @@ type ring = {
 let ring =
   { slots = Array.make default_capacity None; next = 0; stored = 0 }
 
+(* Guards the ring, the sequence counter and the sink: emission takes
+   it once for all three. *)
 let ring_mutex = Mutex.create ()
+let seq_counter = ref 0
 
 let set_capacity n =
   let n = Int.max 1 n in
@@ -126,12 +129,11 @@ let to_json e =
 (* --- sink --- *)
 
 let sink : (string -> unit) option ref = ref None
-let sink_mutex = Mutex.create ()
 
 let set_sink s =
-  Mutex.lock sink_mutex;
+  Mutex.lock ring_mutex;
   sink := s;
-  Mutex.unlock sink_mutex
+  Mutex.unlock ring_mutex
 
 let file_sink path =
   let oc = open_out path in
@@ -165,26 +167,27 @@ let emit ?ctx ~name fields =
           Context.fields c @ timing_fields )
     in
     let trace_id, session_id, client, route = identity in
+    let fields = fields @ accumulated in
+    (* seq, ring slot and sink line under one lock: ring order, sink
+       order and seq order are the same total order *)
+    Mutex.lock ring_mutex;
+    Fun.protect ~finally:(fun () -> Mutex.unlock ring_mutex) @@ fun () ->
     let e =
       {
-        seq = Atomic.fetch_and_add seq_counter 1;
+        seq = !seq_counter;
         ts = Unix.gettimeofday ();
         name;
         trace_id;
         session_id;
         client;
         route;
-        fields = fields @ accumulated;
+        fields;
       }
     in
-    Mutex.lock ring_mutex;
+    incr seq_counter;
     let cap = Array.length ring.slots in
     ring.slots.(ring.next) <- Some e;
     ring.next <- (ring.next + 1) mod cap;
     ring.stored <- Int.min cap (ring.stored + 1);
-    Mutex.unlock ring_mutex;
-    Mutex.lock sink_mutex;
-    let s = !sink in
-    (match s with Some write -> write (to_json e) | None -> ());
-    Mutex.unlock sink_mutex
+    match !sink with Some write -> write (to_json e) | None -> ()
   end

@@ -16,7 +16,7 @@ type value = Context.value =
   | Bool of bool
 
 type t = {
-  seq : int;  (** global emission order (atomic counter) *)
+  seq : int;  (** global emission order (ring and sink follow it) *)
   ts : float;  (** [Unix.gettimeofday] at emission *)
   name : string;  (** e.g. ["http.request"], ["session.step"] *)
   trace_id : string option;

@@ -159,31 +159,6 @@ let histogram_buckets h =
 
 let histogram_name h = h.h_name
 
-(* Prometheus-style bucket interpolation: find the bucket holding the
-   q-th observation and interpolate linearly inside it (lower edge of
-   the first bucket is 0; the +inf bucket answers its lower bound, the
-   last finite bound — there is nothing better to say about outliers). *)
-let histogram_quantile h q =
-  let q = Float.max 0. (Float.min 1. q) in
-  let total = histogram_count h in
-  if total = 0 then 0.
-  else begin
-    let target = q *. float_of_int total in
-    let buckets = histogram_buckets h in
-    let rec scan seen lower = function
-      | [] -> lower
-      | (bound, count) :: rest ->
-        let seen' = seen +. float_of_int count in
-        if seen' >= target && count > 0 then
-          if bound = infinity then lower
-          else
-            lower
-            +. ((bound -. lower) *. ((target -. seen) /. float_of_int count))
-        else scan seen' (if bound = infinity then lower else bound) rest
-    in
-    scan 0. 0. buckets
-  end
-
 type value =
   | Counter of int
   | Gauge of float

@@ -64,15 +64,6 @@ val histogram_buckets : histogram -> (float * int) list
 
 val histogram_name : histogram -> string
 
-val histogram_quantile : histogram -> float -> float
-(** [histogram_quantile h q] estimates the [q]-quantile ([q] clamped to
-    [0..1]) by linear interpolation inside the bucket that holds the
-    q-th observation, Prometheus [histogram_quantile]-style.  The first
-    bucket interpolates from 0; observations in the overflow bucket
-    answer the last finite bound.  [0.] on an empty histogram.  An
-    estimate — exact quantiles need the raw samples (the load generator
-    keeps those; the server-side latency read-out uses this). *)
-
 (** {1 Registry snapshot} *)
 
 type value =

@@ -14,20 +14,12 @@ type level_stats = {
   degraded : int;
   duration : float;
   throughput_rps : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-  mean_ms : float;
-  max_ms : float;
+  latencies : float list;
 }
 
-type report = {
-  host : string;
-  port : int;
-  seed : int;
-  level_duration : float;
-  levels : level_stats list;
-}
+(* Deadlines and latencies on the bench harness's monotonic clock: a
+   wall-clock step would skew them. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* {1 Request synthesis} *)
 
@@ -124,7 +116,7 @@ let close_conn conn =
 let client_loop ~host ~port ~client_id ~rng ~deadline tally =
   let conn = ref None in
   let rec step () =
-    if Unix.gettimeofday () >= deadline then ()
+    if now () >= deadline then ()
     else begin
       (match !conn with
       | Some _ -> ()
@@ -139,7 +131,7 @@ let client_loop ~host ~port ~client_id ~rng ~deadline tally =
       | None -> ()
       | Some c -> begin
         let body = request_body rng in
-        let t0 = Unix.gettimeofday () in
+        let t0 = now () in
         match
           Http.write_request (Http.fd c)
             ~headers:[ ("X-Flames-Client", client_id) ]
@@ -155,7 +147,7 @@ let client_loop ~host ~port ~client_id ~rng ~deadline tally =
           close_conn c;
           conn := None
         | Ok response ->
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = now () -. t0 in
           tally.t_requests <- tally.t_requests + 1;
           (match response.Http.status with
           | 200 ->
@@ -186,16 +178,8 @@ let client_loop ~host ~port ~client_id ~rng ~deadline tally =
 
 (* {1 Levels and the sweep} *)
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else begin
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let run_level ~host ~port ~seed ~level_index ~clients ~duration =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let deadline = t0 +. duration in
   let tallies = Array.init clients (fun _ -> fresh_tally ()) in
   let threads =
@@ -210,15 +194,8 @@ let run_level ~host ~port ~seed ~level_index ~clients ~duration =
           ())
   in
   List.iter Thread.join threads;
-  let measured = Unix.gettimeofday () -. t0 in
+  let measured = now () -. t0 in
   let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-  let latencies =
-    Array.to_list tallies |> List.concat_map (fun t -> t.latencies)
-    |> Array.of_list
-  in
-  Array.sort compare latencies;
-  let n_lat = Array.length latencies in
-  let ms s = s *. 1e3 in
   let requests = sum (fun t -> t.t_requests) in
   {
     clients;
@@ -231,66 +208,14 @@ let run_level ~host ~port ~seed ~level_index ~clients ~duration =
     duration = measured;
     throughput_rps =
       (if measured > 0. then float_of_int requests /. measured else 0.);
-    p50_ms = ms (percentile latencies 0.50);
-    p95_ms = ms (percentile latencies 0.95);
-    p99_ms = ms (percentile latencies 0.99);
-    mean_ms =
-      (if n_lat = 0 then 0.
-       else ms (Array.fold_left ( +. ) 0. latencies /. float_of_int n_lat));
-    max_ms = (if n_lat = 0 then 0. else ms latencies.(n_lat - 1));
+    latencies = Array.to_list tallies |> List.concat_map (fun t -> t.latencies);
   }
 
-let sweep ?progress ~host ~port ~seed ~duration levels =
-  let stats =
-    List.mapi
-      (fun i clients ->
-        let s = run_level ~host ~port ~seed ~level_index:i ~clients ~duration in
-        Option.iter (fun f -> f s) progress;
-        (* let queued work drain so levels don't bleed into each other *)
-        Thread.delay 0.2;
-        s)
-      levels
-  in
-  { host; port; seed; level_duration = duration; levels = stats }
-
-let to_json r =
-  let num_i n = Json.Num (float_of_int n) in
-  Json.Obj
-    [
-      ("series", Json.Str "serve-saturation");
-      ("host", Json.Str r.host);
-      ("port", num_i r.port);
-      ("seed", num_i r.seed);
-      ("duration_s", Json.Num r.level_duration);
-      ("cores", num_i (Domain.recommended_domain_count ()));
-      ( "rows",
-        Json.Arr
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("clients", num_i s.clients);
-                   ("requests", num_i s.requests);
-                   ("ok", num_i s.ok);
-                   ("shed", num_i s.shed);
-                   ("errors", num_i s.errors);
-                   ("protocol_errors", num_i s.protocol_errors);
-                   ("degraded", num_i s.degraded);
-                   ("duration_s", Json.Num s.duration);
-                   ("throughput_rps", Json.Num s.throughput_rps);
-                   ("p50_ms", Json.Num s.p50_ms);
-                   ("p95_ms", Json.Num s.p95_ms);
-                   ("p99_ms", Json.Num s.p99_ms);
-                   ("mean_ms", Json.Num s.mean_ms);
-                   ("max_ms", Json.Num s.max_ms);
-                 ])
-             r.levels) );
-    ]
-
-let write_json path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json r));
-      output_char oc '\n')
+let sweep ~host ~port ~seed ~duration levels =
+  List.mapi
+    (fun i clients ->
+      let s = run_level ~host ~port ~seed ~level_index:i ~clients ~duration in
+      (* let queued work drain so levels don't bleed into each other *)
+      Thread.delay 0.2;
+      s)
+    levels

@@ -6,7 +6,7 @@
     scenarios shipped as netlist text with client-computed
     observations) for a fixed duration; the sweep repeats over
     increasing client counts to find the saturation knee.  Every latency
-    sample is kept, so the reported percentiles are exact, unlike the
+    sample is kept, so percentiles over them are exact, unlike the
     server's bucketed histogram.
 
     Determinism: the request stream of client [c] at level [l] is a pure
@@ -24,19 +24,8 @@ type level_stats = {
   degraded : int;  (** 200 with [degraded: true] *)
   duration : float;  (** measured wall clock of the level, seconds *)
   throughput_rps : float;  (** [requests / duration] *)
-  p50_ms : float;  (** percentiles over 200-response latencies *)
-  p95_ms : float;
-  p99_ms : float;
-  mean_ms : float;
-  max_ms : float;
-}
-
-type report = {
-  host : string;
-  port : int;
-  seed : int;
-  level_duration : float;  (** requested seconds per level *)
-  levels : level_stats list;
+  latencies : float list;
+      (** seconds, one per 200 response, on a monotonic clock *)
 }
 
 val run_level :
@@ -50,18 +39,7 @@ val run_level :
 (** Drive one client count for [duration] seconds and gather stats. *)
 
 val sweep :
-  ?progress:(level_stats -> unit) ->
-  host:string ->
-  port:int ->
-  seed:int ->
-  duration:float ->
-  int list ->
-  report
+  host:string -> port:int -> seed:int -> duration:float -> int list ->
+  level_stats list
 (** Run {!run_level} over each client count in order (a short pause
     between levels lets the server's queues empty). *)
-
-val to_json : report -> Json.t
-(** The [BENCH_serve.json] document: same series/parameters/rows shape
-    as the engine benchmark emitter. *)
-
-val write_json : string -> report -> unit
